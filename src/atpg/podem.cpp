@@ -124,52 +124,34 @@ struct Objective {
 
 }  // namespace
 
-/// Cache of per-source fanout cones, shared across PODEM runs on the
-/// same netlist (cone extraction is the dominant setup cost otherwise).
-using PodemConeCache = std::vector<std::vector<GateId>>;
-
 struct PodemEngine {
     const Netlist& nl;
     const FaultSite site;
     const bool stuck_value;
     const bool propagate;  ///< false for pure justification
     const std::size_t backtrack_limit;
-    PodemConeCache& cones;
 
     std::vector<V5> values;
     std::vector<Bit> source_vals;      // only meaningful where source_set
     std::vector<bool> source_set;
-    std::vector<GateId> site_cone;
+    const std::vector<GateId>& site_cone;
     std::size_t backtracks = 0;
 
     PodemEngine(const Netlist& netlist, const FaultSite& s, bool sv,
-                bool prop, std::size_t limit, PodemConeCache& cone_cache)
+                bool prop, std::size_t limit)
         : nl(netlist),
           site(s),
           stuck_value(sv),
           propagate(prop),
           backtrack_limit(limit),
-          cones(cone_cache),
           values(netlist.size()),
           source_vals(netlist.comb_sources().size(), 0),
           source_set(netlist.comb_sources().size(), false),
           site_cone(netlist.fanout_cone(s.gate)) {}
 
-    const std::vector<GateId>& source_cone(std::uint32_t src) {
-        if (cones.size() != nl.comb_sources().size()) {
-            cones.assign(nl.comb_sources().size(), {});
-        }
-        std::vector<GateId>& cone = cones[src];
-        if (cone.empty()) {
-            cone = nl.fanout_cone(nl.comb_sources()[src]);
-        }
-        return cone;
-    }
-
     /// Signal whose good value must become !stuck_value to activate.
     [[nodiscard]] GateId faulted_line_driver() const {
-        if (site.pin == FaultSite::kOutputPin) return site.gate;
-        return nl.gate(site.gate).fanin[site.pin];
+        return fault_site_signal(nl, site);
     }
 
     /// Recomputes the value of one non-source node from its fanins,
@@ -228,7 +210,7 @@ struct PodemEngine {
     /// source's fanout cone can change.
     void imply_from(std::uint32_t src) {
         values[nl.comb_sources()[src]] = source_value(src);
-        for (GateId id : source_cone(src)) {
+        for (GateId id : nl.fanout_cone(nl.comb_sources()[src])) {
             if (nl.source_index(id) !=
                 std::numeric_limits<std::uint32_t>::max()) {
                 continue;  // the source itself / register sinks
@@ -247,9 +229,6 @@ struct PodemEngine {
     /// True once the fault is activated (good side of the faulted line
     /// at the non-stuck value).
     [[nodiscard]] std::uint8_t line_good_value() const {
-        if (site.pin == FaultSite::kOutputPin) {
-            return values[site.gate].good;
-        }
         return values[faulted_line_driver()].good;
     }
 
@@ -498,8 +477,7 @@ PodemResult finish(const PodemEngine& engine, PodemStatus status) {
 
 PodemResult Podem::generate_test(const FaultSite& site,
                                  bool stuck_value) const {
-    PodemEngine engine(*netlist_, site, stuck_value, true, backtrack_limit_,
-                       cone_cache_);
+    PodemEngine engine(*netlist_, site, stuck_value, true, backtrack_limit_);
     const PodemStatus status = engine.run();
     return finish(engine, status);
 }
@@ -507,8 +485,7 @@ PodemResult Podem::generate_test(const FaultSite& site,
 PodemResult Podem::justify(const FaultSite& site, bool value) const {
     // Justification of "line = value" is PODEM for stuck-at !value with
     // the propagation requirement dropped.
-    PodemEngine engine(*netlist_, site, !value, false, backtrack_limit_,
-                       cone_cache_);
+    PodemEngine engine(*netlist_, site, !value, false, backtrack_limit_);
     const PodemStatus status = engine.run();
     return finish(engine, status);
 }

@@ -32,8 +32,6 @@ struct PodemResult {
     std::size_t backtracks = 0;
 };
 
-/// Not thread-safe: a Podem instance caches per-source fanout cones
-/// across calls (use one instance per thread).
 class Podem {
 public:
     explicit Podem(const Netlist& netlist, std::size_t backtrack_limit = 250);
@@ -51,8 +49,6 @@ public:
 private:
     const Netlist* netlist_;
     std::size_t backtrack_limit_;
-    /// Per-source fanout cones, filled lazily (index: source position).
-    mutable std::vector<std::vector<GateId>> cone_cache_;
 };
 
 }  // namespace fastmon

@@ -53,12 +53,9 @@ TransitionFaultSim::BatchValues TransitionFaultSim::evaluate(
 std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
                                               const BatchValues& values) const {
     const Netlist& nl = *netlist_;
-    const Gate& fg = nl.gate(fault.site.gate);
 
     // Signal at the fault site under both vectors.
-    const GateId site_signal = fault.site.pin == FaultSite::kOutputPin
-                                   ? fault.site.gate
-                                   : fg.fanin[fault.site.pin];
+    const GateId site_signal = fault_site_signal(nl, fault.site);
     const std::uint64_t s1 = values.val1[site_signal];
     const std::uint64_t s2 = values.val2[site_signal];
     const std::uint64_t act = fault.slow_rising ? (~s1 & s2) : (s1 & ~s2);

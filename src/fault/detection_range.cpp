@@ -78,7 +78,7 @@ DetectionCounters& DetectionCounters::operator+=(
     pairs_detected += other.pairs_detected;
     gates_reevaluated += other.gates_reevaluated;
     good_wave_sims += other.good_wave_sims;
-    cones_cached += other.cones_cached;
+    cones_cached = std::max(cones_cached, other.cones_cached);
     screen_seconds += other.screen_seconds;
     good_wave_seconds += other.good_wave_seconds;
     fault_sim_seconds += other.fault_sim_seconds;
@@ -156,8 +156,7 @@ DetectionAnalyzer::DetectionAnalyzer(const WaveSim& wave_sim,
     : wave_sim_(&wave_sim),
       patterns_(patterns),
       monitored_(monitored),
-      config_(config),
-      cones_(wave_sim.netlist()) {
+      config_(config) {
     if (monitored_.empty()) {
         monitored_.assign(wave_sim.netlist().observe_points().size(), false);
     }
@@ -241,7 +240,7 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
         const TraceSpan chunk_span("fault_sim_chunk", "detect");
         const auto t0 = Clock::now();
         FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_, &cones_);
+        const FaultSim fsim(*wave_sim_);
         std::uint64_t screened = 0;
         std::uint64_t inactive = 0;
         std::uint64_t simulated = 0;
@@ -378,7 +377,7 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
                          std::size_t begin, std::size_t end) {
         const TraceSpan chunk_span("table_chunk", "detect");
         FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_, &cones_);
+        const FaultSim fsim(*wave_sim_);
         const auto& flist = by_pattern[pi];
         std::vector<DetectionEntry> local;
         for (std::size_t k = begin; k < end; ++k) {
@@ -494,7 +493,7 @@ DetectionCounters DetectionAnalyzer::counters() const {
     c.pairs_detected = stats_.pairs_detected.load();
     c.gates_reevaluated = stats_.gates_reevaluated.load();
     c.good_wave_sims = stats_.good_wave_sims.load();
-    c.cones_cached = cones_.materialized();
+    c.cones_cached = wave_sim_->netlist().fanout_cones_built();
     c.screen_seconds = static_cast<double>(stats_.screen_ns.load()) * 1e-9;
     c.good_wave_seconds =
         static_cast<double>(stats_.good_wave_ns.load()) * 1e-9;

@@ -19,8 +19,8 @@
 //   * a bit-parallel ternary pre-screen (ActivationScreen) packs
 //     patterns 64-wide and discards (fault, pattern) pairs whose site
 //     provably never toggles, before any waveform is touched;
-//   * surviving pairs run through FaultSim with a shared ConeCache and
-//     per-worker dense-overlay scratch;
+//   * surviving pairs run through FaultSim over the netlist's memoized
+//     fanout cones, with per-worker dense-overlay scratch;
 //   * work executes on a persistent thread pool: fault pairs of the
 //     current pattern in parallel chunks, the next patterns'
 //     fault-free waveforms as pipelined producer tasks;
@@ -58,6 +58,9 @@ struct DetectionEntry {
     std::uint32_t pattern = 0;        ///< pattern index
     std::uint16_t config = 0;         ///< monitor configuration index
     std::uint16_t period = 0;         ///< index into the period list
+
+    friend bool operator==(const DetectionEntry&,
+                           const DetectionEntry&) = default;
 };
 
 struct DetectionAnalysisConfig {
@@ -85,13 +88,18 @@ struct DetectionCounters {
     std::uint64_t pairs_detected = 0;      ///< simulations with a non-empty range
     std::uint64_t gates_reevaluated = 0;   ///< gate evaluations inside FaultSim
     std::uint64_t good_wave_sims = 0;      ///< fault-free waveform simulations
-    std::uint64_t cones_cached = 0;        ///< distinct fanout cones materialized
+    /// Gauge, not a count of this analyzer's work: the size of the
+    /// netlist's fanout-cone memo (Netlist::fanout_cones_built) when
+    /// counters() is read.  The memo is shared with ATPG and every
+    /// other analyzer of the netlist, so operator+= keeps the maximum.
+    std::uint64_t cones_cached = 0;
     double screen_seconds = 0.0;           ///< building the activation screen
     double good_wave_seconds = 0.0;        ///< fault-free simulation (CPU time)
     double fault_sim_seconds = 0.0;        ///< fault simulation chunks (CPU time)
     double analyze_seconds = 0.0;          ///< analyze() wall clock
     double table_seconds = 0.0;            ///< detection_table() wall clock
 
+    /// Sums every field except the cones_cached gauge (maximum).
     DetectionCounters& operator+=(const DetectionCounters& other);
 
     /// Stable key/value view of every counter, in declaration order —
@@ -211,7 +219,6 @@ private:
     std::span<const PatternPair> patterns_;
     std::vector<bool> monitored_;
     DetectionAnalysisConfig config_;
-    ConeCache cones_;
     std::unique_ptr<ThreadPool> owned_pool_;  ///< only when num_threads >= 2
     mutable Atomics stats_;
     mutable std::atomic<bool> interrupted_{false};

@@ -521,6 +521,7 @@ HdfFlowResult HdfFlow::run() {
     // --- Pass B over the union of all periods we will need ---
     std::vector<DelayFault> target_faults;
     std::vector<DetectionEntry> all_entries;
+    schedule_ = TestSchedule{};
     guarded_phase(
         run_phases, "fault_sim_pass_b", /*essential=*/false,
         [&](PhaseStatus& st) {
@@ -591,6 +592,7 @@ HdfFlowResult HdfFlow::run() {
             res.orig_pc =
                 test_set_.size() * num_configs * sel_prop.periods.size();
             res.opti_pc = pc.schedule.size();
+            schedule_ = pc.schedule;
             res.pc_reduction_percent =
                 schedule_reduction_percent(res.opti_pc, res.orig_pc);
             res.schedule_proven_optimal =
@@ -636,6 +638,7 @@ HdfFlowResult HdfFlow::run() {
         skip_phase("coverage_rows", "frequency selections unavailable");
     }
 
+    detection_table_ = std::move(all_entries);
     res.phases = phases_;
     res.phases.insert(res.phases.end(), run_phases.begin(), run_phases.end());
     res.total_wall_seconds =

@@ -186,6 +186,14 @@ public:
     [[nodiscard]] std::span<const std::uint32_t> target_positions() const {
         return targets_;
     }
+    /// Pass-B detection table of the last run(), over the union of all
+    /// selected periods.
+    [[nodiscard]] std::span<const DetectionEntry> detection_table() const {
+        return detection_table_;
+    }
+    /// Table II schedule of the last run(): pattern x configuration at
+    /// full coverage.
+    [[nodiscard]] const TestSchedule& schedule() const { return schedule_; }
     /// Detection-engine work counters accumulated over prepare()/run().
     [[nodiscard]] const DetectionCounters& detection_counters() const {
         return detect_counters_;
@@ -241,6 +249,8 @@ private:
     std::vector<std::uint32_t> targets_;
     double sample_scale_ = 1.0;
     DetectionCounters detect_counters_;
+    std::vector<DetectionEntry> detection_table_;
+    TestSchedule schedule_;
     std::vector<PhaseTime> phases_;       ///< recorded during prepare()
     double prepare_wall_seconds_ = 0.0;
     FlowStatus status_;

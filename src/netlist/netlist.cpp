@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 
 namespace fastmon {
@@ -133,10 +134,45 @@ void Netlist::finalize() {
         observes_.push_back(ObservePoint{id, gates_[id].fanin[0], true});
     }
 
+    cones_ = std::unique_ptr<detail::ConeSlot[], detail::ConeSlotsDeleter>(
+        new detail::ConeSlot[n](), detail::ConeSlotsDeleter{n});
     finalized_ = true;
 }
 
-std::vector<GateId> Netlist::fanout_cone(GateId from) const {
+void detail::ConeSlotsDeleter::operator()(ConeSlot* slots) const {
+    for (std::size_t i = 0; i < size; ++i) {
+        delete slots[i].load(std::memory_order_relaxed);
+    }
+    delete[] slots;
+}
+
+const std::vector<GateId>& Netlist::fanout_cone(GateId from) const {
+    if (!finalized_) {
+        throw std::logic_error("Netlist::fanout_cone before finalize()");
+    }
+    detail::ConeSlot& slot = cones_[from];
+    const std::vector<GateId>* cone = slot.load(std::memory_order_acquire);
+    if (cone != nullptr) return *cone;
+    auto fresh =
+        std::make_unique<const std::vector<GateId>>(build_fanout_cone(from));
+    if (slot.compare_exchange_strong(cone, fresh.get(),
+                                     std::memory_order_release,
+                                     std::memory_order_acquire)) {
+        return *fresh.release();
+    }
+    return *cone;  // another thread published first; cones are identical
+}
+
+std::size_t Netlist::fanout_cones_built() const {
+    if (!cones_) return 0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < gates_.size(); ++i) {
+        if (cones_[i].load(std::memory_order_relaxed) != nullptr) ++count;
+    }
+    return count;
+}
+
+std::vector<GateId> Netlist::build_fanout_cone(GateId from) const {
     std::vector<GateId> cone;
     std::vector<bool> seen(gates_.size(), false);
     std::vector<GateId> stack{from};

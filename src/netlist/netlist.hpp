@@ -8,8 +8,10 @@
 // {PI, PPI} sources and {PO, PPO} sinks — the standard scan-test view.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,9 +40,27 @@ struct ObservePoint {
     bool is_pseudo = false;   ///< true for DFF D inputs (monitor-eligible)
 };
 
+namespace detail {
+
+using ConeSlot = std::atomic<const std::vector<GateId>*>;
+
+/// Frees a fanout-cone memo: every published cone, then the slot array.
+struct ConeSlotsDeleter {
+    std::size_t size = 0;
+    void operator()(ConeSlot* slots) const;
+};
+
+}  // namespace detail
+
 class Netlist {
 public:
     explicit Netlist(std::string name) : name_(std::move(name)) {}
+
+    /// Move-only: the fanout-cone memo owns its cones.
+    Netlist(const Netlist&) = delete;
+    Netlist& operator=(const Netlist&) = delete;
+    Netlist(Netlist&&) noexcept = default;
+    Netlist& operator=(Netlist&&) noexcept = default;
 
     /// Adds a node.  Fanin ids must already exist.  Names must be unique.
     GateId add_gate(CellType type, std::string name, std::vector<GateId> fanin);
@@ -96,11 +116,22 @@ public:
     [[nodiscard]] bool finalized() const { return finalized_; }
 
     /// All nodes in the transitive fanout of `from`, including `from`
-    /// itself, in topological order.  DFF/Output sink nodes terminate
-    /// the propagation (fanout does not wrap around a register).
-    [[nodiscard]] std::vector<GateId> fanout_cone(GateId from) const;
+    /// itself: the root first, then combinational nodes and pads in
+    /// topological order, register sinks last.  DFF/Output sink nodes
+    /// terminate the propagation (fanout does not wrap around a
+    /// register).  Requires finalize().
+    ///
+    /// Memoized per gate on first request and kept for the netlist's
+    /// lifetime (a move carries the memo along).  Thread-safe;
+    /// concurrent first requests race benignly.
+    [[nodiscard]] const std::vector<GateId>& fanout_cone(GateId from) const;
+
+    /// Number of fanout cones memoized so far.
+    [[nodiscard]] std::size_t fanout_cones_built() const;
 
 private:
+    [[nodiscard]] std::vector<GateId> build_fanout_cone(GateId from) const;
+
     std::string name_;
     std::vector<Gate> gates_;
     std::vector<GateId> inputs_;
@@ -113,6 +144,8 @@ private:
     std::vector<std::uint32_t> level_;
     std::vector<std::uint32_t> source_index_;
     std::unordered_map<std::string, GateId> by_name_;
+    /// Fanout-cone memo, one slot per gate (sized by finalize()).
+    std::unique_ptr<detail::ConeSlot[], detail::ConeSlotsDeleter> cones_;
     std::size_t num_comb_ = 0;
     std::uint32_t depth_ = 0;
     bool finalized_ = false;

@@ -19,6 +19,8 @@ struct ScheduleEntry {
     std::uint32_t period_index = 0;  ///< index into TestSchedule::periods
     std::uint32_t pattern = 0;
     std::uint16_t config = 0;
+
+    friend bool operator==(const ScheduleEntry&, const ScheduleEntry&) = default;
 };
 
 struct TestSchedule {
@@ -27,6 +29,8 @@ struct TestSchedule {
 
     [[nodiscard]] std::size_t num_frequencies() const { return periods.size(); }
     [[nodiscard]] std::size_t size() const { return entries.size(); }
+
+    friend bool operator==(const TestSchedule&, const TestSchedule&) = default;
 };
 
 struct TestTimeModel {

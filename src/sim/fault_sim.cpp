@@ -9,37 +9,6 @@ GateId fault_site_signal(const Netlist& netlist, const FaultSite& site) {
     return netlist.gate(site.gate).fanin[site.pin];
 }
 
-ConeCache::ConeCache(const Netlist& netlist)
-    : netlist_(&netlist), slots_(netlist.size()) {}
-
-ConeCache::~ConeCache() {
-    for (auto& slot : slots_) {
-        delete slot.load(std::memory_order_relaxed);
-    }
-}
-
-const std::vector<GateId>& ConeCache::cone(GateId gate) const {
-    std::atomic<const std::vector<GateId>*>& slot = slots_[gate];
-    const std::vector<GateId>* existing = slot.load(std::memory_order_acquire);
-    if (existing != nullptr) return *existing;
-    auto* fresh = new std::vector<GateId>(netlist_->fanout_cone(gate));
-    if (slot.compare_exchange_strong(existing, fresh,
-                                     std::memory_order_release,
-                                     std::memory_order_acquire)) {
-        return *fresh;
-    }
-    delete fresh;  // another thread published first; results are identical
-    return *existing;
-}
-
-std::size_t ConeCache::materialized() const {
-    std::size_t count = 0;
-    for (const auto& slot : slots_) {
-        if (slot.load(std::memory_order_relaxed) != nullptr) ++count;
-    }
-    return count;
-}
-
 void FaultSimScratch::begin_epoch(std::size_t num_gates) {
     if (overlay_.size() != num_gates) {
         overlay_.assign(num_gates, Waveform());
@@ -52,8 +21,7 @@ void FaultSimScratch::begin_epoch(std::size_t num_gates) {
     }
 }
 
-FaultSim::FaultSim(const WaveSim& wave_sim, const ConeCache* cones)
-    : wave_sim_(&wave_sim), cones_(cones) {}
+FaultSim::FaultSim(const WaveSim& wave_sim) : wave_sim_(&wave_sim) {}
 
 const Waveform& FaultSim::site_signal(const FaultSite& site,
                                       std::span<const Waveform> good) const {
@@ -91,13 +59,8 @@ std::vector<ObserveDiff> FaultSim::simulate(
     scratch.begin_epoch(nl.size());
 
     const GateId site_gate = fault.site.gate;
-    const std::vector<GateId>& cone = cones_ != nullptr
-                                          ? cones_->cone(site_gate)
-                                          : scratch.cone_storage_ =
-                                                nl.fanout_cone(site_gate);
-
     std::vector<const Waveform*>& fanin_waves = scratch.fanin_waves_;
-    for (GateId id : cone) {
+    for (GateId id : nl.fanout_cone(site_gate)) {
         const Gate& g = nl.gate(id);
 
         if (id == site_gate) {

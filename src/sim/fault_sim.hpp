@@ -9,9 +9,10 @@
 //
 // Hot-path plumbing (the engine runs one simulate() per activated
 // (fault, pattern) pair, millions on the larger benches):
-//   * ConeCache memoizes Netlist::fanout_cone per fault-site gate; a
-//     cone is shared by both transition directions of a site and by
-//     every pattern, so the traversal + sort happens once per site.
+//   * cones come from Netlist::fanout_cone, which memoizes them per
+//     netlist: a cone is shared by both transition directions of a
+//     site, by every pattern and by every other user of the netlist
+//     (ATPG included), so the traversal + sort happens once per site.
 //   * FaultSimScratch holds the faulty-waveform overlay as an
 //     epoch-stamped dense array indexed by GateId: membership tests
 //     are one load, and a new simulation "clears" the overlay by
@@ -19,9 +20,7 @@
 //     thread; waveform buffers are recycled across calls.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,28 +60,6 @@ struct ObserveDiff {
 [[nodiscard]] GateId fault_site_signal(const Netlist& netlist,
                                        const FaultSite& site);
 
-/// Thread-safe memo of Netlist::fanout_cone keyed by gate.  Entries are
-/// built lazily on first request and shared afterwards; concurrent
-/// first requests race benignly (one result is published, the others
-/// are discarded).
-class ConeCache {
-public:
-    explicit ConeCache(const Netlist& netlist);
-    ~ConeCache();
-
-    ConeCache(const ConeCache&) = delete;
-    ConeCache& operator=(const ConeCache&) = delete;
-
-    [[nodiscard]] const std::vector<GateId>& cone(GateId gate) const;
-
-    /// Number of cones materialized so far.
-    [[nodiscard]] std::size_t materialized() const;
-
-private:
-    const Netlist* netlist_;
-    mutable std::vector<std::atomic<const std::vector<GateId>*>> slots_;
-};
-
 /// Per-thread scratch state of the fault-simulation hot path: the dense
 /// epoch-stamped faulty-waveform overlay plus recycled buffers.  Not
 /// thread-safe; use one instance per worker.
@@ -112,17 +89,12 @@ private:
     std::vector<std::uint32_t> stamp_;
     std::uint32_t epoch_ = 0;
     std::vector<const Waveform*> fanin_waves_;
-    std::vector<GateId> cone_storage_;  ///< used only without a ConeCache
     std::uint64_t gates_evaluated_ = 0;
 };
 
 class FaultSim {
 public:
-    /// `cones` (optional) shares memoized fanout cones across FaultSim
-    /// instances and threads; without it every simulate() call
-    /// recomputes the cone of its site.
-    explicit FaultSim(const WaveSim& wave_sim,
-                      const ConeCache* cones = nullptr);
+    explicit FaultSim(const WaveSim& wave_sim);
 
     /// Re-simulates `fault` against the fault-free waveforms `good`
     /// (as produced by WaveSim::simulate for the same pattern pair).
@@ -148,7 +120,6 @@ private:
         const FaultSite& site, std::span<const Waveform> good) const;
 
     const WaveSim* wave_sim_;
-    const ConeCache* cones_;
 };
 
 }  // namespace fastmon

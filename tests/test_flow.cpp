@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "flow/report.hpp"
@@ -184,6 +185,48 @@ TEST(HdfFlow, DeterministicAcrossRuns) {
     EXPECT_EQ(ra.detected_prop, rb.detected_prop);
     EXPECT_EQ(ra.freq_prop, rb.freq_prop);
     EXPECT_EQ(ra.opti_pc, rb.opti_pc);
+}
+
+TEST(HdfFlow, IdenticalAcrossThreadCounts) {
+    // ATPG and both detection passes share the netlist's cone memo; the
+    // whole flow must not notice how many lanes the detection engine
+    // runs.  Each run gets its own (identical) netlist, so the pooled
+    // run fills a fresh memo from its worker threads.  Only the node
+    // budget bounds the set-cover solver, so the schedule does not
+    // depend on the wall clock.
+    GeneratorConfig gc = profile_config(find_profile("s9234"), 0.25);
+    gc.seed = 17;
+    const Netlist serial_nl = generate_circuit(gc);
+    const Netlist pooled_nl = generate_circuit(gc);
+    HdfFlowConfig config = small_config();
+    config.atpg.max_deterministic_faults = 100;  // PODEM runs, briefly
+    config.solver.max_nodes = 20000;
+    config.solver.time_limit_sec = 1e6;
+
+    config.num_threads = 1;
+    HdfFlow serial(serial_nl, config);
+    const HdfFlowResult rs = serial.run();
+    config.num_threads = 4;
+    HdfFlow pooled(pooled_nl, config);
+    const HdfFlowResult rp = pooled.run();
+
+    ASSERT_TRUE(rs.status.complete());
+    ASSERT_TRUE(rp.status.complete());
+    EXPECT_EQ(serial.patterns().patterns, pooled.patterns().patterns);
+    ASSERT_EQ(serial.ranges().size(), pooled.ranges().size());
+    for (std::size_t i = 0; i < serial.ranges().size(); ++i) {
+        const FaultRanges& a = serial.ranges()[i];
+        const FaultRanges& b = pooled.ranges()[i];
+        ASSERT_EQ(a.ff, b.ff) << "pass-A fault " << i;
+        ASSERT_EQ(a.sr, b.sr) << "pass-A fault " << i;
+        ASSERT_EQ(a.active_patterns, b.active_patterns) << "pass-A fault " << i;
+    }
+    EXPECT_FALSE(serial.detection_table().empty());
+    EXPECT_TRUE(std::ranges::equal(serial.detection_table(),
+                                   pooled.detection_table()));
+    EXPECT_GT(serial.schedule().size(), 0u);
+    EXPECT_TRUE(serial.schedule() == pooled.schedule());
+    EXPECT_EQ(rs.coverage_rows, rp.coverage_rows);
 }
 
 TEST(Report, TablesRenderWithoutCrashing) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "netlist/builder.hpp"
+#include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
 
 namespace fastmon {
@@ -101,6 +107,122 @@ TEST(Netlist, FanoutConeContainsSelfAndStopsAtRegisters) {
     EXPECT_NE(std::find(cone.begin(), cone.end(), g6), cone.end());
     const GateId g8 = nl.find("G8");  // G8 = AND(G14, G6): behind the FF
     EXPECT_EQ(std::find(cone.begin(), cone.end(), g8), cone.end());
+}
+
+Netlist generated_s9234() {
+    return generate_circuit(profile_config(find_profile("s9234")));
+}
+
+/// Independent fanout-cone reference: reachability over fanout edges
+/// (registers and pads stop the walk unless they are the root), then
+/// sorted root first, combinational nodes and pads by topological rank,
+/// register sinks last.
+std::vector<GateId> reference_cone(const Netlist& nl, GateId root) {
+    std::vector<char> reached(nl.size(), 0);
+    std::vector<GateId> todo{root};
+    reached[root] = 1;
+    std::vector<GateId> cone;
+    while (!todo.empty()) {
+        const GateId id = todo.back();
+        todo.pop_back();
+        cone.push_back(id);
+        const CellType t = nl.gate(id).type;
+        if (id != root && (t == CellType::Dff || t == CellType::Output)) {
+            continue;
+        }
+        for (GateId out : nl.gate(id).fanout) {
+            if (reached[out] == 0) {
+                reached[out] = 1;
+                todo.push_back(out);
+            }
+        }
+    }
+    auto key = [&](GateId id) {
+        const int group =
+            id == root ? 0 : (nl.gate(id).type == CellType::Dff ? 2 : 1);
+        return std::make_tuple(group, id == root ? 0u : nl.topo_rank(id));
+    };
+    std::sort(cone.begin(), cone.end(),
+              [&](GateId a, GateId b) { return key(a) < key(b); });
+    return cone;
+}
+
+TEST(ConeMemo, MatchesReferenceTraversalForEveryGate) {
+    const Netlist nl = generated_s9234();
+    ASSERT_GT(nl.size(), 2000u);
+    EXPECT_EQ(nl.fanout_cones_built(), 0u);  // lazy: nothing built yet
+    for (GateId id = 0; id < nl.size(); ++id) {
+        ASSERT_EQ(nl.fanout_cone(id), reference_cone(nl, id))
+            << "gate " << nl.gate(id).name;
+    }
+    EXPECT_EQ(nl.fanout_cones_built(), nl.size());
+}
+
+TEST(ConeMemo, RepeatedCallsReturnTheSameVector) {
+    const Netlist nl = generated_s9234();
+    for (GateId id = 0; id < nl.size(); id += 7) {
+        const std::vector<GateId>* first = &nl.fanout_cone(id);
+        EXPECT_EQ(&nl.fanout_cone(id), first);
+    }
+    EXPECT_EQ(nl.fanout_cones_built(), (nl.size() + 6) / 7);
+}
+
+TEST(ConeMemo, ConcurrentFirstRequestsPublishOneConePerGate) {
+    const Netlist nl = generated_s9234();
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<const std::vector<GateId>*>> seen(
+        kThreads, std::vector<const std::vector<GateId>*>(nl.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&nl, &seen, t] {
+            // Every thread walks every gate; half of them backwards, so
+            // first requests collide from both ends.
+            for (GateId i = 0; i < nl.size(); ++i) {
+                const GateId id =
+                    t % 2 == 0 ? i : static_cast<GateId>(nl.size() - 1 - i);
+                seen[t][id] = &nl.fanout_cone(id);
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    for (GateId id = 0; id < nl.size(); ++id) {
+        for (std::size_t t = 1; t < kThreads; ++t) {
+            ASSERT_EQ(seen[t][id], seen[0][id]) << "gate " << id;
+        }
+        ASSERT_EQ(*seen[0][id], reference_cone(nl, id)) << "gate " << id;
+    }
+    EXPECT_EQ(nl.fanout_cones_built(), nl.size());
+}
+
+TEST(ConeMemo, SurvivesMoveConstructionAndMoveAssignment) {
+    Netlist original = generated_s9234();
+    const GateId root = original.comb_sources()[0];
+    const std::vector<GateId>* cone = &original.fanout_cone(root);
+    const std::vector<GateId> expected = *cone;
+
+    // Move construction carries the memo: the same cone object answers.
+    Netlist moved(std::move(original));
+    EXPECT_EQ(&moved.fanout_cone(root), cone);
+    EXPECT_EQ(moved.fanout_cones_built(), 1u);
+
+    // Move assignment frees the target's own cones (the sanitizer jobs
+    // would report a leak otherwise) and takes over the source's memo.
+    Netlist target = make_s27();
+    (void)target.fanout_cone(0);
+    (void)target.fanout_cone(1);
+    target = std::move(moved);
+    EXPECT_EQ(&target.fanout_cone(root), cone);
+    EXPECT_EQ(*cone, expected);
+    EXPECT_EQ(target.fanout_cones_built(), 1u);
+    for (GateId id = 0; id < target.size(); ++id) {
+        ASSERT_EQ(target.fanout_cone(id), reference_cone(target, id));
+    }
+}
+
+TEST(ConeMemo, RequiresFinalize) {
+    Netlist nl("open");
+    nl.add_gate(CellType::Input, "a", {});
+    EXPECT_THROW((void)nl.fanout_cone(0), std::logic_error);
 }
 
 TEST(Netlist, RejectsCombinationalCycle) {
