@@ -6,21 +6,26 @@
 // The "campaign" and "aggregate" blocks of each entry are
 // bit-deterministic for a fixed seed — across runs, thread counts, and
 // batch widths — so perf tracking can diff them; wall times live in
-// the separate "run" blocks.  The demo entry carries a three-way
-// differential (batched SoA vs scalar incremental vs full-STA rebuild)
-// with batch_check/sta_check verdicts and batch_speedup/sta_speedup
-// ratios.  bench/run_bench.sh validates the artifact schema and fails
-// on a degraded (cancelled / partial) flow status or a diverged check.
+// the separate "run" blocks.  The demo entry carries two
+// differentials: batch_check (compiled width vs one-lane batches, with
+// the batch_speedup ratio) and sta_check (the campaign vs a roll_device
+// reference loop over every device).  bench/run_bench.sh validates the
+// artifact schema and fails on a degraded (cancelled / partial) flow
+// status or a diverged check.
 #include <cmath>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "bench_common.hpp"
 #include "campaign/campaign.hpp"
+#include "monitor/placement.hpp"
 #include "netlist/bench_io.hpp"
 #include "timing/batch_sta_engine.hpp"
+#include "timing/sta_engine.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
+#include "wearout/wearout.hpp"
 
 namespace {
 
@@ -44,6 +49,49 @@ n6 = OR(n5, r0)
 y  = NAND(n4, n6)
 z  = XOR(r0, r1)
 )";
+
+/// The campaign rebuilt from its parts: the prepare phase's design
+/// artifacts, then roll_device on every device in index order and the
+/// aggregate fold.  The "campaign" and "aggregate" blocks of its report
+/// must equal run_campaign's.
+fastmon::CampaignResult reference_campaign(
+    const fastmon::Netlist& netlist, const fastmon::CampaignConfig& config) {
+    using namespace fastmon;
+    const DelayAnnotation nominal = DelayAnnotation::nominal(netlist);
+    const StaResult sta =
+        StaEngine(netlist, nominal, config.clock_margin).analyze();
+    const MonitorPlacement placement =
+        place_monitors(netlist, sta, config.monitor_fraction,
+                       config.monitor_delay_fractions);
+    std::unique_ptr<WearoutModel> wearout;
+    RolloutContext ctx;
+    ctx.netlist = &netlist;
+    ctx.placement = &placement;
+    ctx.clock_period = sta.clock_period;
+    ctx.grid = make_year_grid(config.horizon_years, config.step_years);
+    ctx.screen_years = config.screen_years;
+    ctx.variation_sigma_log = config.model.variation.sigma_log;
+    if (config.wearout.enabled) {
+        wearout = std::make_unique<WearoutModel>(netlist, nominal,
+                                                 config.wearout);
+        ctx.wearout = wearout.get();
+    }
+    const std::vector<GateId> sites = combinational_sites(netlist);
+    CampaignResult result;
+    result.circuit = netlist.name();
+    result.num_gates = netlist.size();
+    result.num_monitors = placement.num_monitors();
+    result.clock_period = sta.clock_period;
+    for (std::size_t i = 0; i < config.population; ++i) {
+        result.outcomes.push_back(roll_device(
+            ctx, sample_device(config.model, config.seed,
+                               static_cast<std::uint32_t>(i), sites,
+                               ctx.clock_period)));
+    }
+    result.devices_completed = result.outcomes.size();
+    result.aggregate = aggregate_outcomes(result.outcomes, config.aggregate);
+    return result;
+}
 
 }  // namespace
 
@@ -84,10 +132,10 @@ int main() {
 
     {
         // Untimed warm-up: spin up the shared thread pool and fault the
-        // allocator pools for BOTH engine paths of the differential
-        // below, at full demo population — the demo circuit is cheap
-        // and the batched-vs-scalar speedup ratio is otherwise skewed
-        // by whichever run happens to go first on cold caches.
+        // allocator pools for BOTH widths of the differential below, at
+        // full demo population — the demo circuit is cheap and the
+        // width-vs-width speedup ratio is otherwise skewed by whichever
+        // run happens to go first on cold caches.
         CampaignConfig warm = config;
         (void)run_campaign(targets.front().netlist, warm);
         warm.batch_width = 1;
@@ -101,8 +149,7 @@ int main() {
                   << target.netlist.size() << " gates, population "
                   << config.population << ", batch width " << kBatchWidth
                   << ")\n";
-        // Default run: the batched SoA engine at the compiled width
-        // (identical to scalar when FASTMON_BATCH_WIDTH=1).
+        // Default run: the batched SoA engine at the compiled width.
         const CampaignResult result = run_campaign(target.netlist, config);
         const CampaignAggregate& agg = result.aggregate;
         const double batched_wall = result.total_wall_seconds;
@@ -122,10 +169,9 @@ int main() {
         }
 
         if (t == 0 && !CancelToken::global().cancelled()) {
-            // Three-way differential on the demo circuit: the batched
-            // SoA engine, the scalar incremental engine, and the legacy
-            // from-scratch STA must all produce bit-identical
-            // deterministic report blocks.
+            // Differentials on the demo circuit: the compiled width,
+            // one-lane batches and the roll_device reference loop must
+            // all produce bit-identical deterministic report blocks.
             auto blocks_match = [&](const Json& a, const Json& b,
                                     const char* what) {
                 bool ok = true;
@@ -141,48 +187,44 @@ int main() {
                 return ok;
             };
 
-            CampaignConfig scalar = config;
-            scalar.batch_width = 1;
-            std::cout << "  scalar incremental reference pass "
-                         "(differential check)\n";
-            const CampaignResult scalar_result =
-                run_campaign(target.netlist, scalar);
-            const double scalar_wall = scalar_result.total_wall_seconds;
+            CampaignConfig one_lane = config;
+            one_lane.batch_width = 1;
+            std::cout << "  one-lane batch pass (differential check)\n";
+            const CampaignResult one_lane_result =
+                run_campaign(target.netlist, one_lane);
+            const double one_lane_wall = one_lane_result.total_wall_seconds;
             const bool batch_ok =
-                blocks_match(entry, scalar_result.to_json(scalar),
-                             "batched and scalar incremental");
+                blocks_match(entry, one_lane_result.to_json(one_lane),
+                             "the compiled width and width 1");
 
-            CampaignConfig reference = config;
-            reference.full_sta = true;
-            std::cout << "  full-STA reference pass (differential check)\n";
-            const CampaignResult full =
-                run_campaign(target.netlist, reference);
-            const double full_wall = full.total_wall_seconds;
+            std::cout << "  roll_device reference loop (differential "
+                         "check)\n";
+            const CampaignResult reference =
+                reference_campaign(target.netlist, config);
             const bool sta_ok =
-                blocks_match(entry, full.to_json(reference),
-                             "batched and full STA");
+                reference.outcomes == result.outcomes &&
+                blocks_match(entry, reference.to_json(config),
+                             "the campaign and the roll_device loop");
+            if (reference.outcomes != result.outcomes) {
+                std::cout << "  ERROR: device outcomes diverged between "
+                             "the campaign and the roll_device loop\n";
+            }
             identical = identical && batch_ok && sta_ok;
 
-            const double sta_speedup =
-                scalar_wall > 0.0 ? full_wall / scalar_wall : 0.0;
             const double batch_speedup =
-                batched_wall > 0.0 ? scalar_wall / batched_wall : 0.0;
+                batched_wall > 0.0 ? one_lane_wall / batched_wall : 0.0;
             std::cout << "  batched wall " << batched_wall
-                      << " s vs scalar " << scalar_wall << " s ("
-                      << batch_speedup << "x) vs full " << full_wall
-                      << " s (" << sta_speedup << "x over scalar)\n";
+                      << " s vs width 1 " << one_lane_wall << " s ("
+                      << batch_speedup << "x)\n";
             entry.set("sta_check", sta_ok ? "identical" : "diverged");
             entry.set("batch_check", batch_ok ? "identical" : "diverged");
-            entry.set("full_sta_wall_seconds", full_wall);
-            entry.set("scalar_wall_seconds", scalar_wall);
-            entry.set("sta_speedup", sta_speedup);
+            entry.set("one_lane_wall_seconds", one_lane_wall);
             entry.set("batch_speedup", batch_speedup);
 
             // Telemetry differential: the heartbeat sidecar and the
             // streaming sketches are pure observation, so the
             // deterministic blocks must stay bit-identical with
-            // telemetry on — at the batched width AND the scalar
-            // width (the two engines instrument different code paths).
+            // telemetry on, at the compiled width and at width 1.
             CampaignConfig telem = config;
             telem.heartbeat_path = "BENCH_campaign.heartbeat.json";
             telem.heartbeat_seconds = 0.05;
@@ -195,15 +237,15 @@ int main() {
                 blocks_match(entry, telem_result.to_json(telem),
                              "telemetry off and on (batched)");
             {
-                CampaignConfig telem_scalar = telem;
-                telem_scalar.batch_width = 1;
-                telem_scalar.heartbeat_path =
-                    "BENCH_campaign.scalar.heartbeat.json";
-                const CampaignResult scalar_telem =
-                    run_campaign(target.netlist, telem_scalar);
-                telem_ok = blocks_match(scalar_result.to_json(scalar),
-                                        scalar_telem.to_json(telem_scalar),
-                                        "telemetry off and on (scalar)") &&
+                CampaignConfig telem_one_lane = telem;
+                telem_one_lane.batch_width = 1;
+                telem_one_lane.heartbeat_path =
+                    "BENCH_campaign.width1.heartbeat.json";
+                const CampaignResult one_lane_telem =
+                    run_campaign(target.netlist, telem_one_lane);
+                telem_ok = blocks_match(one_lane_result.to_json(one_lane),
+                                        one_lane_telem.to_json(telem_one_lane),
+                                        "telemetry off and on (width 1)") &&
                            telem_ok;
             }
             identical = identical && telem_ok;
@@ -217,7 +259,7 @@ int main() {
             entry.set("telemetry_overhead", telem_overhead);
 
             // Mission-profile comparison: every built-in deployment on
-            // the demo circuit, each with a scalar-vs-batched
+            // the demo circuit, each with a width-1-vs-compiled-width
             // differential, plus a separation gate — two contrasting
             // profiles must produce measurably different failure-year
             // distributions and screen ROC curves, or the wear-out
@@ -234,14 +276,14 @@ int main() {
                 std::cout << "  mission profile " << profile.name << "\n";
                 const CampaignResult mres =
                     run_campaign(target.netlist, mission);
-                CampaignConfig mscalar = mission;
-                mscalar.batch_width = 1;
+                CampaignConfig mission_one_lane = mission;
+                mission_one_lane.batch_width = 1;
                 const CampaignResult msc =
-                    run_campaign(target.netlist, mscalar);
+                    run_campaign(target.netlist, mission_one_lane);
                 mission_ok =
                     blocks_match(mres.to_json(mission),
-                                 msc.to_json(mscalar),
-                                 ("batched and scalar (" + profile.name +
+                                 msc.to_json(mission_one_lane),
+                                 ("batched and width 1 (" + profile.name +
                                   ")").c_str()) &&
                     mission_ok;
                 const CampaignAggregate& magg = mres.aggregate;

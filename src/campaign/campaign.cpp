@@ -91,18 +91,10 @@ Json sketch_block(const QuantileSketch& sketch) {
 }
 
 // Lanes per batched pass.  Not part of the fingerprint or canonical
-// string: every width (and full_sta) produces bit-identical outcomes.
+// string: every width produces bit-identical outcomes.
 std::size_t resolve_batch_width(const CampaignConfig& config) {
-    if (config.full_sta) return 1;  // the from-scratch reference path
-    std::size_t width = config.batch_width;
-    if (width == 0) {
-        width = kBatchWidth;
-        if (const char* env = std::getenv("FASTMON_BATCH_WIDTH")) {
-            const long long v = std::atoll(env);
-            if (v >= 1) width = static_cast<std::size_t>(v);
-        }
-    }
-    return std::clamp<std::size_t>(width, 1, kBatchWidth);
+    if (config.batch_width == 0) return kBatchWidth;
+    return std::min(config.batch_width, kBatchWidth);
 }
 
 /// Shard fault-injection poll at device boundaries.  `shard.crash`
@@ -225,11 +217,8 @@ Json CampaignResult::to_json(const CampaignConfig& config) const {
     j.set("aggregate", aggregate.to_json());
 
     Json run = Json::object();
-    // sta_mode/batch_width are run bookkeeping, not campaign identity:
-    // every mode must produce identical "campaign"/"aggregate" blocks.
-    run.set("sta_mode", config.full_sta      ? "full_rebuild"
-                        : batch_width > 1 ? "batched"
-                                          : "incremental");
+    // batch_width is run bookkeeping, not campaign identity: every
+    // width must produce identical "campaign"/"aggregate" blocks.
     run.set("batch_width", batch_width);
     if (config.shard_count > 1) {
         run.set("shard_index", config.shard_index);
@@ -285,7 +274,6 @@ CampaignResult run_campaign(const Netlist& netlist,
         ctx.grid = make_year_grid(config.horizon_years, config.step_years);
         ctx.screen_years = config.screen_years;
         ctx.variation_sigma_log = config.model.variation.sigma_log;
-        ctx.full_sta = config.full_sta;
         if (config.wearout.enabled) {
             // Design-time characterization (activity extraction over
             // the nominal annotation) plus mission-rate resolution —
@@ -399,66 +387,7 @@ CampaignResult run_campaign(const Netlist& netlist,
         const std::size_t batch_width = resolve_batch_width(config);
         result.batch_width = batch_width;
 
-        const auto roll_range_scalar = [&](std::size_t begin,
-                                           std::size_t end) {
-            // One incremental engine per shard: the first device builds
-            // the arenas, later devices rebase onto them, and every
-            // year-grid point is a cone-limited update.
-            const TraceSpan shard_span("campaign_shard", "campaign");
-            std::unique_ptr<StaEngine> engine;
-            ProgressReporter::WorkerSlot* slot =
-                reporter ? &reporter->slot_for_this_thread() : nullptr;
-            WorkerSketches local;
-            // The scalar path evaluates the full grid for every device
-            // (no early retirement), so a device is grid.size()
-            // lane-years of progress.
-            const auto grid_years =
-                static_cast<std::uint64_t>(ctx.grid.size());
-            for (std::size_t i = begin; i < end; ++i) {
-                if (token.cancelled()) break;   // device-boundary poll
-                poll_shard_faults();
-                if (slots[i]) continue;         // resumed from checkpoint
-                const std::uint64_t t0 = telemetry_now_ns();
-                const DeviceSample sample = [&] {
-                    const TraceSpan pop("campaign_population", "campaign");
-                    return sample_device(config.model, config.seed,
-                                         static_cast<std::uint32_t>(i),
-                                         sites, ctx.clock_period);
-                }();
-                slots[i] = roll_device(ctx, sample, &engine);
-                // Scalar batch = 1 device, so the device boundary IS
-                // the batch boundary the telemetry contract samples at.
-                const std::uint64_t dt = telemetry_now_ns() - t0;
-                local.roll_latency_us.record(
-                    static_cast<double>(dt) * 1e-3);
-                local.record_outcome(*slots[i]);
-                if (slot) {
-                    slot->devices.fetch_add(1, std::memory_order_relaxed);
-                    slot->batches.fetch_add(1, std::memory_order_relaxed);
-                    slot->lane_years.fetch_add(grid_years,
-                                               std::memory_order_relaxed);
-                    slot->busy_ns.fetch_add(dt, std::memory_order_relaxed);
-                }
-            }
-            sketches.merge(local);
-            if (engine) {
-                const StaEngine::Stats& es = engine->stats();
-                metrics.counter("campaign.sta_full_passes")
-                    .add(es.full_passes);
-                metrics.counter("campaign.sta_incremental_updates")
-                    .add(es.incremental_updates);
-                metrics.counter("campaign.sta_dense_updates")
-                    .add(es.dense_updates);
-                metrics.counter("campaign.sta_rebases").add(es.rebases);
-                metrics.counter("campaign.sta_nodes_repropagated")
-                    .add(es.nodes_repropagated);
-                metrics.counter("campaign.sta_nodes_pruned")
-                    .add(es.nodes_pruned);
-            }
-        };
-
-        const auto roll_range_batched = [&](std::size_t begin,
-                                            std::size_t end) {
+        const auto roll_range = [&](std::size_t begin, std::size_t end) {
             // One batch engine per shard; lanes cycle through the
             // shard's pending devices `batch_width` at a time.  Resumed
             // devices are skipped, so a batch may span non-contiguous
@@ -553,14 +482,6 @@ CampaignResult run_campaign(const Netlist& netlist,
                     .add(es.lane_loads);
                 metrics.counter("campaign.batch_sta_lanes_retired")
                     .add(es.lanes_retired);
-            }
-        };
-
-        const auto roll_range = [&](std::size_t begin, std::size_t end) {
-            if (batch_width > 1) {
-                roll_range_batched(begin, end);
-            } else {
-                roll_range_scalar(begin, end);
             }
         };
 

@@ -59,21 +59,11 @@ struct CampaignConfig {
     /// fingerprint mismatch degrades to a fresh start, recorded in the
     /// status block).
     bool resume = false;
-    /// Roll every device with the legacy full-STA path instead of the
-    /// incremental engine.  Deliberately NOT part of the campaign
-    /// fingerprint: both modes produce bit-identical outcomes (this is
-    /// what the differential CI check asserts), so checkpoints are
-    /// interchangeable.
-    bool full_sta = false;
-    /// Devices rolled per batched STA pass.  0 = auto: the compiled
-    /// column width (FASTMON_BATCH_WIDTH, default 8), overridable at
-    /// runtime by a FASTMON_BATCH_WIDTH environment variable.  1 =
-    /// the legacy scalar incremental engine (the reference path for
-    /// the batched differential); larger values clamp to the compiled
-    /// width; full_sta forces 1.  Like full_sta, deliberately NOT
-    /// part of the campaign fingerprint: every width produces
-    /// bit-identical outcomes, so checkpoints are interchangeable
-    /// across widths.
+    /// Devices rolled per BatchRollout pass.  0 = auto: the compiled
+    /// column width (-DFASTMON_BATCH_WIDTH, default 8); larger values
+    /// clamp to it and 1 rolls one-lane batches.  Deliberately NOT part
+    /// of the campaign fingerprint: every width produces bit-identical
+    /// outcomes, so checkpoints are interchangeable across widths.
     std::size_t batch_width = 0;
     /// Live-telemetry heartbeat sidecar (see util/progress.hpp): when
     /// non-empty, a sampler thread atomically rewrites this JSON file
@@ -130,7 +120,7 @@ struct CampaignResult {
     std::size_t range_end = 0;
     std::size_t devices_expected = 0;
     std::size_t checkpoints_written = 0;
-    /// Resolved lanes per batched pass this run (1 = scalar engine).
+    /// Resolved lanes per batched pass this run.
     std::size_t batch_width = 1;
     /// Streaming-sketch telemetry (per-device roll latency, first-alert
     /// and failure-year distributions): {summary, sketch} per metric,

@@ -18,7 +18,7 @@ double lead_between(double alert, double failure) {
 }
 
 /// Wear-out attribution, evaluated at the failure year (or the horizon
-/// for survivors).  Identical inputs on the scalar and batched paths,
+/// for survivors).  Identical inputs on the reference and batched paths,
 /// so the recorded attribution is part of the bit-identity contract.
 void record_attribution(const RolloutContext& ctx,
                         const DeviceDegradation& degradation,
@@ -135,8 +135,7 @@ std::vector<double> make_year_grid(double horizon_years, double step_years) {
 }
 
 DeviceOutcome roll_device(const RolloutContext& ctx,
-                          const DeviceSample& sample,
-                          std::unique_ptr<StaEngine>* engine_scratch) {
+                          const DeviceSample& sample) {
     DeviceOutcome out;
     out.index = sample.index;
     out.marginal = sample.marginal();
@@ -148,19 +147,8 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
     const DelayAnnotation annotation =
         DelayAnnotation::with_lognormal_variation(
             *ctx.netlist, ctx.variation_sigma_log, sample.seed);
-    StaEngine* engine = nullptr;
-    if (engine_scratch && !ctx.full_sta) {
-        if (!*engine_scratch) {
-            // Monitor evaluation needs arrivals only; the simulator
-            // rebases the engine to each device's annotation.
-            *engine_scratch = std::make_unique<StaEngine>(
-                *ctx.netlist, annotation, 1.0, StaEngine::Scope::Arrivals);
-        }
-        engine = engine_scratch->get();
-    }
     LifetimeSimulator sim(*ctx.netlist, annotation, ctx.clock_period,
-                          sample.aging, sample.seed, engine, ctx.wearout);
-    if (ctx.full_sta) sim.set_sta_mode(LifetimeSimulator::StaMode::FullRebuild);
+                          sample.aging, sample.seed, ctx.wearout);
     for (const MarginalDefect& defect : sample.defects) {
         sim.add_defect(defect);
     }
@@ -256,7 +244,7 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
     // caller ever mixes models — or under wear-out, whose mechanism
     // curves are per-device (Weibull severities, mission stress), so
     // every lane funnels through the same fill_delta(years, delta) the
-    // scalar path uses.
+    // reference rollout uses.
     const AgingModel& model0 = degradation_[0].model();
     bool shared_term = ctx_->wearout == nullptr;
     for (std::size_t l = 1; l < n; ++l) {

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "monitor/aging.hpp"
 #include "monitor/placement.hpp"
 #include "timing/batch_sta_engine.hpp"
-#include "timing/sta_engine.hpp"
 #include "util/json.hpp"
 
 namespace fastmon {
@@ -40,11 +38,6 @@ struct RolloutContext {
     double screen_years = 0.5;
     /// Per-gate lognormal process-variation sigma (VariationModel).
     double variation_sigma_log = 0.05;
-    /// Force the legacy full-STA path (LifetimeSimulator FullRebuild)
-    /// instead of the incremental engine; the differential reference
-    /// for the bit-identity check.  Not part of the campaign
-    /// fingerprint: both modes produce identical outcomes.
-    bool full_sta = false;
     /// Multi-mechanism wear-out model (mission profile campaigns);
     /// null = the legacy single-knob aging path.
     const WearoutModel* wearout = nullptr;
@@ -93,14 +86,14 @@ struct DeviceOutcome {
 /// positive horizon.
 std::vector<double> make_year_grid(double horizon_years, double step_years);
 
-/// Rolls one sampled device through its lifetime.  `engine_scratch`
-/// (optional) is a worker-local incremental STA engine slot: the first
-/// device constructs it, later devices rebase it — so arenas persist
-/// across a whole shard.  With ctx.full_sta the scratch is ignored and
-/// every grid point pays a from-scratch pass.
+/// Reference rollout of one sampled device: materializes the device's
+/// variation annotation and walks the grid through a LifetimeSimulator,
+/// one from-scratch STA pass per grid year, recording every year (no
+/// early retirement).  Written independently of BatchRollout, which
+/// must reproduce its outcomes bit for bit; the campaign itself never
+/// calls it.
 DeviceOutcome roll_device(const RolloutContext& ctx,
-                          const DeviceSample& sample,
-                          std::unique_ptr<StaEngine>* engine_scratch = nullptr);
+                          const DeviceSample& sample);
 
 /// Rolls devices through the lifetime grid in lockstep batches of up
 /// to BatchStaEngine::width() lanes: one shared topological pass per
@@ -118,7 +111,7 @@ public:
         std::uint64_t batches = 0;
         std::uint64_t devices = 0;
         /// Lane-years actually evaluated (vs. grid.size() * devices
-        /// for the scalar path; the gap is early-retirement savings).
+        /// without early retirement; the gap is its savings).
         std::uint64_t lane_years = 0;
         std::uint64_t lanes_settled_early = 0;
     };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "timing/sta_engine.hpp"
 #include "util/prng.hpp"
 #include "wearout/wearout.hpp"
 
@@ -237,25 +238,10 @@ void DeviceDegradation::append_defects(double years,
 LifetimeSimulator::LifetimeSimulator(const Netlist& netlist,
                                      const DelayAnnotation& base,
                                      Time clock_period, AgingModel model,
-                                     std::uint64_t seed, StaEngine* engine,
+                                     std::uint64_t seed,
                                      const WearoutModel* wearout)
-    : netlist_(&netlist),
-      base_(&base),
-      clock_period_(clock_period),
-      shared_engine_(engine) {
+    : netlist_(&netlist), base_(&base), clock_period_(clock_period) {
     degradation_.reset(netlist, model, seed, wearout);
-    if (shared_engine_) shared_engine_->rebase(base);
-}
-
-StaEngine& LifetimeSimulator::engine() const {
-    if (shared_engine_) return *shared_engine_;
-    if (!owned_engine_) {
-        // Monitor evaluation needs only arrival times; skip the
-        // backward/path passes entirely.
-        owned_engine_ = std::make_unique<StaEngine>(
-            *netlist_, *base_, 1.0, StaEngine::Scope::Arrivals);
-    }
-    return *owned_engine_;
 }
 
 void LifetimeSimulator::fill_delta(double years, DelayDelta& delta) const {
@@ -283,27 +269,17 @@ LifetimePoint LifetimeSimulator::evaluate(
 void LifetimeSimulator::evaluate_into(double years,
                                       const MonitorPlacement& placement,
                                       LifetimePoint& out) const {
-    fill_delta(years, scratch_delta_);
-    const StaResult* sta = nullptr;
-    StaResult rebuilt;
-    if (sta_mode_ == StaMode::Incremental) {
-        sta = &engine().update(scratch_delta_);
-    } else {
-        // Legacy reference path: transform a private annotation copy and
-        // run a from-scratch pass (same arithmetic; bit-identical).
-        const DelayAnnotation ann = base_->transformed(scratch_delta_);
-        StaEngine full(*netlist_, ann, 1.0, StaEngine::Scope::Full);
-        full.analyze();
-        rebuilt = full.take_result();
-        sta = &rebuilt;
-    }
+    // Monitor evaluation reads arrival times only: no backward pass.
+    const DelayAnnotation annotation = degraded(years);
+    StaEngine engine(*netlist_, annotation, 1.0, StaEngine::Scope::Arrivals);
+    const StaResult& sta = engine.analyze();
 
     out.years = years;
     out.worst_monitored_arrival = 0.0;
     out.worst_arrival = 0.0;
     const auto ops = netlist_->observe_points();
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
-        const Time arrival = sta->max_arrival[ops[oi].signal];
+        const Time arrival = sta.max_arrival[ops[oi].signal];
         out.worst_arrival = std::max(out.worst_arrival, arrival);
         if (oi < placement.monitored.size() && placement.monitored[oi]) {
             out.worst_monitored_arrival =

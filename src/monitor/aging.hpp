@@ -13,14 +13,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "monitor/placement.hpp"
 #include "sim/fault_sim.hpp"
-#include "timing/sta_engine.hpp"
+#include "timing/delay_delta.hpp"
+#include "timing/delay_model.hpp"
 #include "util/json.hpp"
 
 namespace fastmon {
@@ -147,31 +147,21 @@ private:
 
 class LifetimeSimulator {
 public:
-    /// How evaluate() obtains arrival times.  Incremental (default)
-    /// applies each year's degradation as a DelayDelta to a persistent
-    /// StaEngine; FullRebuild copies + transforms the annotation and
-    /// runs a from-scratch pass (the legacy cost profile, kept as the
-    /// differential reference).  Both produce bit-identical points.
-    enum class StaMode : std::uint8_t { Incremental, FullRebuild };
-
     /// `base` must be the annotation the clock was derived from;
     /// `clock_period` stays fixed over the lifetime (the deployed f_nom).
-    /// A non-null `engine` (constructed for the same netlist, margin
-    /// 1.0) is rebased to `base` and reused — the campaign shares one
-    /// engine per worker across its whole device shard.  A non-null
-    /// `wearout` degrades via the multi-mechanism registry instead of
-    /// the single power-law knob.
+    /// A non-null `wearout` degrades via the multi-mechanism registry
+    /// instead of the single power-law knob.  Each evaluation times the
+    /// degraded annotation from scratch; the campaign's production path
+    /// is BatchRollout, which this simulator serves as the reference
+    /// for.
     LifetimeSimulator(const Netlist& netlist, const DelayAnnotation& base,
                       Time clock_period, AgingModel model,
-                      std::uint64_t seed = 1, StaEngine* engine = nullptr,
+                      std::uint64_t seed = 1,
                       const WearoutModel* wearout = nullptr);
 
     void add_defect(MarginalDefect defect) {
         degradation_.add_defect(defect);
     }
-
-    void set_sta_mode(StaMode mode) { sta_mode_ = mode; }
-    [[nodiscard]] StaMode sta_mode() const { return sta_mode_; }
 
     /// The device's degradation state at `years` (aging factors plus
     /// defect extras) as a composable delta on the base annotation.
@@ -186,9 +176,9 @@ public:
     [[nodiscard]] LifetimePoint evaluate(double years,
                                          const MonitorPlacement& placement) const;
 
-    /// Allocation-free variant for tight grid loops: overwrites `out`
-    /// (reusing its alerts buffer) with the state at `years`.  The
-    /// campaign rollout reuses one point across a device's whole grid.
+    /// Same, overwriting `out` (reusing its alerts buffer) with the
+    /// state at `years`; roll_device reuses one point across a
+    /// device's whole grid.
     void evaluate_into(double years, const MonitorPlacement& placement,
                        LifetimePoint& out) const;
 
@@ -209,19 +199,13 @@ public:
 
 private:
     void fill_delta(double years, DelayDelta& delta) const;
-    StaEngine& engine() const;
 
     const Netlist* netlist_;
     const DelayAnnotation* base_;
     Time clock_period_;
     DeviceDegradation degradation_;
-    StaMode sta_mode_ = StaMode::Incremental;
-    /// Engine shared by the caller (campaign worker shard), or lazily
-    /// owned.  Mutated from const evaluate(): the simulator is
-    /// logically const but caches timing state; not thread-safe per
-    /// instance (each campaign worker owns its simulators).
-    StaEngine* shared_engine_ = nullptr;
-    mutable std::unique_ptr<StaEngine> owned_engine_;
+    /// Per-evaluation scratch, mutated from const evaluate(): not
+    /// thread-safe per instance.
     mutable DelayDelta scratch_delta_;
 };
 

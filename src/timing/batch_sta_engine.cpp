@@ -12,7 +12,7 @@ namespace {
 
 constexpr std::size_t kCancelStride = 4096;
 
-// Same exactness test as the scalar engine: multiplying by 2^k shifts
+// Exactness test of the rescale tier: multiplying by 2^k shifts
 // the exponent without touching the mantissa, so rescaling cached
 // columns commutes with FP rounding.
 bool is_power_of_two(double v) {
@@ -516,7 +516,7 @@ void BatchStaEngine::update(const BatchDelayDelta& batch) {
 
     // Rescale tier: all active lanes request pure uniform scales over
     // pure-uniform lane states, and every factor pair is a power of
-    // two (or unchanged).  Exact per lane; see the scalar engine.
+    // two (or unchanged).  Exact per lane; see is_power_of_two.
     if (has_result_) {
         bool rescalable = true;
         bool any_change = false;

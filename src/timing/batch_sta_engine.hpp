@@ -1,11 +1,10 @@
 // Batched structure-of-arrays static timing analysis.
 //
-// The incremental StaEngine made the lifetime campaign fast per
-// *device*; BatchStaEngine makes it fast per *population*.  One engine
-// propagates kBatchWidth devices ("lanes") per topological pass: the
-// flattened traversal structure (topo order, fanin ids, arc offsets)
-// is shared once per netlist, while arc delays and arrival times are
-// stored as [arc][lane] / [gate][lane] columns — kBatchWidth
+// BatchStaEngine times the lifetime campaign per *population*: one
+// engine propagates kBatchWidth devices ("lanes") per topological
+// pass.  The flattened traversal structure (topo order, fanin ids, arc
+// offsets) is shared once per netlist, while arc delays and arrival
+// times are stored as [arc][lane] / [gate][lane] columns — kBatchWidth
 // contiguous doubles per arc — so the innermost max/add reduction is a
 // fixed-trip-count lane loop the compiler auto-vectorizes (AVX2 on
 // x86, plain scalar code elsewhere; no intrinsics).
@@ -13,10 +12,11 @@
 // Bit-identity contract: the per-lane operation order is exactly the
 // scalar StaEngine's — lanes are independent columns, the pin loop
 // stays outermost, and max/min reductions run in the same order — so a
-// lane's arrivals are bit-for-bit equal to a scalar engine evaluating
-// that device alone.  Campaign outcomes therefore match the scalar
-// reference exactly; the documented <= 4 ulp tolerance of the
-// full-vs-batched differential is headroom for platforms whose
+// lane's arrivals are bit-for-bit equal to a StaEngine over that
+// device's annotation transformed by the lane's delta.  Campaign
+// outcomes therefore match the roll_device reference exactly; the
+// documented <= 4 ulp tolerance of the batched differential is
+// headroom for platforms whose
 // vectorizer contracts a+b*c into FMA (none of the supported
 // -ffp-contract=off / default GCC x86 configurations do for this
 // code), not an accepted slack on this implementation.
@@ -63,7 +63,7 @@ static_assert(kBatchWidth >= 1 && kBatchWidth <= 64,
 /// change requested" and is only legal for retired lanes; every active
 /// lane must carry a delta (possibly empty, meaning "revert to the
 /// lane base").  Deltas are absolute with respect to each lane's base,
-/// exactly like StaEngine::update.
+/// not cumulative across updates.
 struct BatchDelayDelta {
     std::array<const DelayDelta*, kBatchWidth> lanes{};
     /// Caller's promise that every non-null lane scales the same gate
@@ -135,9 +135,9 @@ public:
     /// recomputes arrivals for the whole batch in one topological
     /// pass.  When every active lane requests a pure power-of-two
     /// uniform rescale of an already-uniform state, the update is an
-    /// exact O(n) per-lane rescale of the cached columns instead (the
-    /// same tier-1 exactness argument as the scalar engine: scaling by
-    /// 2^k commutes with FP rounding).
+    /// exact O(n) per-lane rescale of the cached columns instead
+    /// (scaling by 2^k commutes with FP rounding, so the result is
+    /// still bit-identical to a from-scratch pass).
     void update(const BatchDelayDelta& batch);
 
     /// Latest arrival of `gate` in `lane` after the last update().

@@ -4,9 +4,9 @@
 // annotation — a global (aging) scale factor, per-gate degradation
 // factors, and additive extras at defect sites — as data instead of as
 // ad-hoc copy-and-mutate loops.  It is applied either eagerly
-// (DelayAnnotation::transform) or lazily by the incremental StaEngine,
-// which re-propagates arrival times only through the fanout cones of
-// the arcs the delta actually changes.
+// (DelayAnnotation::transform, then a StaEngine over the result) or
+// per lane by the batched BatchStaEngine, straight into its columnar
+// arc arrays without materializing an annotation.
 //
 // Application order is fixed and part of the bit-identity contract:
 //   1. uniform_scale multiplies every arc,
@@ -14,7 +14,7 @@
 //   3. extras add to the selected arc(s), in entry order.
 // Because every step is a monotone map applied to both the rise and the
 // fall delay of an arc, max/min over (rise, fall) commute with the
-// transformation bit-for-bit — the property StaEngine relies on.
+// transformation bit-for-bit — the property BatchStaEngine relies on.
 #pragma once
 
 #include <cstdint>

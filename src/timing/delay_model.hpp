@@ -80,8 +80,8 @@ public:
 
     /// Applies a composable mutation in place: the delta's uniform
     /// scale, then its per-gate scales, then its additive extras, each
-    /// in entry order (the order the bit-identity contract of the
-    /// incremental StaEngine is defined against).
+    /// in entry order (the order BatchStaEngine's per-lane delta
+    /// application reproduces bit for bit).
     DelayAnnotation& transform(const DelayDelta& delta);
 
     /// Copying variant of transform() for callers that keep the base.

@@ -1,33 +1,18 @@
-// Incremental static timing analysis.
+// Static timing analysis over one delay annotation.
 //
-// StaEngine replaces the free-function run_sta + throwaway-annotation
-// pattern for workloads that evaluate many small perturbations of one
-// base annotation (the lifetime campaign: N devices x Y years, each
-// year only nudging aging factors and a handful of defect arcs).  The
-// engine owns the flattened arc-delay arrays and the arrival /
-// downstream result arenas, and exposes
-//
-//   analyze()       full from-scratch pass over the base annotation,
-//   update(delta)   re-propagation restricted to the fanout cones of
-//                   the arcs `delta` actually changes (bitwise change
-//                   detection prunes cones early), and
-//   rebase(base)    cheap retargeting to another device's annotation
-//                   without reallocating the arenas.
-//
-// Bit-identity contract: update(delta) produces exactly the result of
-// transforming the base annotation with `delta` and running the classic
-// full pass — same arithmetic, same operation order, so equal bit
-// patterns.  A delta that is a pure power-of-two uniform scale is
-// applied as an O(n) exact rescale of the cached results without any
-// re-propagation (multiplication by 2^k commutes with FP rounding);
-// other uniform factors fall back to cone re-propagation seeded at
-// every changed gate.
+// StaEngine flattens the netlist's traversal structure (topo order,
+// arc-aligned fanin ids, per-gate arc offsets) and the annotation's
+// per-arc max/min delays once at construction, then analyze() runs the
+// from-scratch forward (and, for Scope::Full, backward) pass into
+// result arenas it owns.  To time a perturbed annotation (an aged
+// device, a grown defect), transform the base with a DelayDelta and
+// build an engine over the result; the lifetime campaign's many-device
+// hot path is the batched BatchStaEngine, not this class.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "timing/delay_delta.hpp"
 #include "timing/delay_model.hpp"
 #include "timing/sta.hpp"
 
@@ -35,121 +20,70 @@ namespace fastmon {
 
 class StaEngine {
 public:
-    /// What update()/analyze() keep current.  Arrivals computes only
-    /// max/min arrival times plus the critical path / clock period —
-    /// the lifetime-monitor hot path; downstream and path_through stay
-    /// zero.  Full additionally maintains the backward pass (required
-    /// by fault classification and monitor placement).
+    /// What analyze() computes.  Arrivals computes only max/min
+    /// arrival times plus the critical path / clock period — all the
+    /// lifetime monitors read; downstream and path_through stay zero.
+    /// Full additionally runs the backward pass (required by fault
+    /// classification and monitor placement).
     enum class Scope : std::uint8_t { Arrivals, Full };
 
-    struct Stats {
-        std::uint64_t full_passes = 0;
-        std::uint64_t incremental_updates = 0;
-        std::uint64_t dense_updates = 0;    ///< delta touched most gates
-        std::uint64_t scaled_updates = 0;   ///< O(n) exact rescales
-        std::uint64_t rebases = 0;
-        std::uint64_t nodes_repropagated = 0;
-        std::uint64_t nodes_pruned = 0;     ///< cone cut by bitwise equality
-    };
-
-    /// `base` must outlive the engine (or be replaced via rebase()).
+    /// The annotation's arc delays are copied at construction; `base`
+    /// need not outlive the engine.
     StaEngine(const Netlist& netlist, const DelayAnnotation& base,
               double clock_margin = 1.05, Scope scope = Scope::Full);
 
     StaEngine(const StaEngine&) = delete;
     StaEngine& operator=(const StaEngine&) = delete;
-    /// Moves transfer the arenas and null the source's netlist_/base_
-    /// pointers and valid_ flag (a defaulted move would leave them
-    /// pointing at live objects next to empty arenas and a stale
-    /// result_).  A moved-from engine may only be destroyed or
-    /// assigned to; valid() reports false on it.
+    /// Moves transfer the arenas and null the source's netlist pointer
+    /// and valid_ flag (a defaulted move would leave it pointing at a
+    /// live netlist next to empty arenas and a stale result_).  A
+    /// moved-from engine may only be destroyed or assigned to; valid()
+    /// reports false on it.
     StaEngine(StaEngine&& other) noexcept;
     StaEngine& operator=(StaEngine&& other) noexcept;
 
-    /// Retargets the engine to another annotation of the *same* netlist,
-    /// reusing every internal arena.  Invalidates the cached result; the
-    /// next analyze()/update() runs a full pass.
-    void rebase(const DelayAnnotation& base);
-
-    /// Full from-scratch pass over the unmodified base annotation.
+    /// Full from-scratch pass over the annotation.
     const StaResult& analyze();
 
-    /// Result of STA over base transformed by `delta` (deltas are
-    /// absolute with respect to the base, not cumulative).  Bit-identical
-    /// to `StaEngine(nl, base.transformed(delta), ...).analyze()`.
-    const StaResult& update(const DelayDelta& delta);
-
-    /// Last computed result.  Valid after analyze()/update() returned
-    /// normally; a cancellation mid-pass leaves it stale until the next
+    /// Last computed result.  Valid after analyze() returned normally;
+    /// a cancellation mid-pass leaves it stale until the next
     /// successful pass.
     [[nodiscard]] const StaResult& result() const { return result_; }
 
-    /// Moves the result out (the compatibility path for code that wants
-    /// an owned StaResult).  The engine needs a fresh analyze()/update()
-    /// afterwards.
+    /// Moves the result out (for code that wants an owned StaResult).
+    /// The engine needs a fresh analyze() afterwards.
     [[nodiscard]] StaResult take_result();
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
     [[nodiscard]] double clock_margin() const { return margin_; }
     [[nodiscard]] Scope scope() const { return scope_; }
-    [[nodiscard]] const Stats& stats() const { return stats_; }
     /// False after construction-from / assignment-from this engine
     /// (moved-from state) and between a cancelled pass and the next
     /// successful one; result() is only meaningful when true.
     [[nodiscard]] bool valid() const { return valid_; }
 
 private:
-    void load_base(const DelayAnnotation& base);
-    void reset_gate_arcs(GateId id);
-    /// Applies `delta` on top of the base arrays.  When `seeds` is
-    /// non-null the sparse path runs: only touched gates are rebuilt
-    /// and the ones whose arc delays bitwise changed are appended.
-    /// When null the rebuild is dense and unconditional (every arc
-    /// reset from base, then the delta applied) — the caller follows
-    /// up with full passes.
-    void apply_delta(const DelayDelta& delta, std::vector<GateId>* seeds);
-    void full_forward();
-    void full_backward();
-    void incremental_forward(const std::vector<GateId>& seeds);
-    void incremental_backward(const std::vector<GateId>& seeds);
-    void refresh_path_through();
-    void refresh_clock();
+    void forward();
+    void backward();
     void poll_cancel();
 
     const Netlist* netlist_;
-    const DelayAnnotation* base_;
     double margin_;
     Scope scope_;
 
     /// Flattened arc layout (same shape as DelayAnnotation): per-gate
-    /// start offset into the max/min arrays.
+    /// start offset into the arc arrays.
     std::vector<std::uint32_t> offset_;
-    /// Flattened traversal structure (the forward passes are the
-    /// campaign's innermost loop; per-gate vector indirection through
-    /// Netlist costs more than the arithmetic):
-    std::vector<GateId> topo_;           ///< topological order copy
+    /// Flattened traversal structure (the forward pass is a hot loop;
+    /// per-gate vector indirection through Netlist costs more than the
+    /// arithmetic):
+    std::vector<GateId> topo_;             ///< topological order copy
     std::vector<std::uint8_t> is_source_;  ///< Input or Dff (arrival 0)
-    std::vector<GateId> fanin_flat_;     ///< arc-aligned driver ids
-    std::vector<Time> base_max_, base_min_;  ///< per arc: max/min(rise, fall)
-    std::vector<Time> cur_max_, cur_min_;    ///< base transformed by the delta
-    double cur_uniform_ = 1.0;               ///< uniform factor currently applied
-    std::vector<GateId> dirty_gates_;        ///< gates touched by the last delta
-
-    /// Epoch-stamped scratch marks (no per-update clearing).
-    std::vector<std::uint32_t> touch_stamp_;
-    std::uint32_t touch_epoch_ = 0;
-    std::vector<std::uint32_t> fwd_stamp_;
-    std::uint32_t fwd_epoch_ = 0;
-    std::vector<std::uint32_t> back_stamp_;
-    std::uint32_t back_epoch_ = 0;
-    std::vector<GateId> scratch_touched_;
-    std::vector<Time> scratch_old_;
-    std::vector<GateId> scratch_seeds_;
-    std::vector<GateId> scratch_dirty_;
+    std::vector<GateId> fanin_flat_;       ///< arc-aligned driver ids
+    std::vector<Time> arc_max_, arc_min_;  ///< per arc: max/min(rise, fall)
 
     StaResult result_;
     bool valid_ = false;
-    Stats stats_;
     std::size_t poll_counter_ = 0;
 };
 

@@ -155,6 +155,10 @@ bool ThreadPool::pop_task(std::size_t self, std::function<void()>& out,
 
 void ThreadPool::run_task(std::size_t self,
                           const std::function<void()>& task) {
+    // Counted before the task runs: a TaskGroup wrapper releases wait()
+    // from inside task(), and a caller reading stats() right after its
+    // wait() must already see every task of the group.
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     const auto start = std::chrono::steady_clock::now();
     task();
     const auto ns = static_cast<std::uint64_t>(
@@ -166,7 +170,6 @@ void ThreadPool::run_task(std::size_t self,
     } else {
         helper_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
     }
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::try_execute_one() {

@@ -1,16 +1,16 @@
 // Differential tests for the batched structure-of-arrays STA engine:
-// every lane of a BatchStaEngine must reproduce a scalar StaEngine
-// evaluating the same device bit-for-bit (EXPECT_EQ on doubles, no
-// tolerance — the per-lane operation order is the scalar order, so the
-// documented <= 4 ulp contract is headroom, not slack).  Covers lane
-// loading from variation factors, dense per-lane deltas, the per-lane
-// pow2 rescale tier, lane retirement/reload, and the BatchRollout
-// device path against roll_device (including ragged batches).
+// every lane of a BatchStaEngine must reproduce a from-scratch
+// StaEngine over the same device's annotation transformed by the
+// lane's delta, bit-for-bit (EXPECT_EQ on doubles, no tolerance — the
+// per-lane operation order is the scalar order, so the documented
+// <= 4 ulp contract is headroom, not slack).  Covers lane loading from
+// variation factors, dense per-lane deltas, the per-lane pow2 rescale
+// tier, lane retirement/reload, and the BatchRollout device path
+// against the roll_device reference (including ragged batches).
 #include "timing/batch_sta_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -39,19 +39,22 @@ struct BatchFixture : ::testing::Test {
 
     static constexpr double kSigmaLog = 0.06;
 
-    /// Scalar engine for device `seed`, loaded exactly the way the
-    /// campaign's scalar path does (materialized annotation).
-    struct ScalarLane {
+    /// From-scratch reference for device `seed`: its materialized
+    /// variation annotation, transformed by a delta and timed afresh.
+    struct ReferenceLane {
+        const Netlist* nl;
         DelayAnnotation annotation;
-        std::unique_ptr<StaEngine> engine;
+
+        [[nodiscard]] StaResult reference(const DelayDelta& delta) const {
+            return StaEngine(*nl, annotation.transformed(delta), 1.0,
+                             StaEngine::Scope::Arrivals)
+                .analyze();
+        }
     };
-    ScalarLane make_scalar(std::uint64_t seed, double margin = 1.0) const {
-        ScalarLane lane{DelayAnnotation::with_lognormal_variation(
-                            nl, kSigmaLog, seed),
-                        nullptr};
-        lane.engine = std::make_unique<StaEngine>(
-            nl, lane.annotation, margin, StaEngine::Scope::Arrivals);
-        return lane;
+    ReferenceLane make_reference(std::uint64_t seed) const {
+        return ReferenceLane{
+            &nl, DelayAnnotation::with_lognormal_variation(nl, kSigmaLog,
+                                                           seed)};
     }
 
     void load_device_lane(BatchStaEngine& batch, std::size_t lane,
@@ -95,11 +98,11 @@ struct BatchFixture : ::testing::Test {
 
 TEST_F(BatchFixture, LanesMatchScalarEnginesBitwise) {
     BatchStaEngine batch(nl, nominal);
-    std::vector<ScalarLane> scalars;
+    std::vector<ReferenceLane> references;
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         const std::uint64_t seed = 100 + l;
         load_device_lane(batch, l, seed);
-        scalars.push_back(make_scalar(seed));
+        references.push_back(make_reference(seed));
     }
     std::vector<DelayDelta> deltas(kBatchWidth);
     for (int round = 0; round < 5; ++round) {
@@ -111,7 +114,7 @@ TEST_F(BatchFixture, LanesMatchScalarEnginesBitwise) {
         batch.update(bd);
         for (std::size_t l = 0; l < kBatchWidth; ++l) {
             expect_lane_matches(batch, l,
-                                scalars[l].engine->update(deltas[l]));
+                                references[l].reference(deltas[l]));
         }
     }
     EXPECT_EQ(batch.stats().batch_passes, 5u);
@@ -120,11 +123,11 @@ TEST_F(BatchFixture, LanesMatchScalarEnginesBitwise) {
 
 TEST_F(BatchFixture, Pow2RescaleTierIsExactPerLane) {
     BatchStaEngine batch(nl, nominal);
-    std::vector<ScalarLane> scalars;
+    std::vector<ReferenceLane> references;
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         const std::uint64_t seed = 300 + l;
         load_device_lane(batch, l, seed);
-        scalars.push_back(make_scalar(seed));
+        references.push_back(make_reference(seed));
     }
     // Establish a pure-uniform state (empty deltas -> dense pass).
     std::vector<DelayDelta> deltas(kBatchWidth);
@@ -135,7 +138,7 @@ TEST_F(BatchFixture, Pow2RescaleTierIsExactPerLane) {
 
     // Per-lane power-of-two factors (different per lane, including an
     // unchanged one): must hit the rescale tier, no new forward pass,
-    // and stay bit-identical to the scalar engines' own tier.
+    // and stay bit-identical to the from-scratch reference.
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         deltas[l].uniform_scale = l % 3 == 0 ? 2.0 : l % 3 == 1 ? 0.5 : 1.0;
     }
@@ -143,9 +146,7 @@ TEST_F(BatchFixture, Pow2RescaleTierIsExactPerLane) {
     EXPECT_EQ(batch.stats().batch_passes, passes_before);
     EXPECT_GE(batch.stats().scaled_updates, 1u);
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        scalars[l].engine->analyze();
-        expect_lane_matches(batch, l,
-                            scalars[l].engine->update(deltas[l]));
+        expect_lane_matches(batch, l, references[l].reference(deltas[l]));
     }
 
     // A non-pow2 factor on any lane forces the dense path — still
@@ -154,17 +155,17 @@ TEST_F(BatchFixture, Pow2RescaleTierIsExactPerLane) {
     batch.update(bd);
     EXPECT_EQ(batch.stats().batch_passes, passes_before + 1);
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        expect_lane_matches(batch, l, scalars[l].engine->update(deltas[l]));
+        expect_lane_matches(batch, l, references[l].reference(deltas[l]));
     }
 }
 
 TEST_F(BatchFixture, RetiredLaneDoesNotDrainTheBatch) {
     BatchStaEngine batch(nl, nominal);
-    std::vector<ScalarLane> scalars;
+    std::vector<ReferenceLane> references;
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         const std::uint64_t seed = 500 + l;
         load_device_lane(batch, l, seed);
-        scalars.push_back(make_scalar(seed));
+        references.push_back(make_reference(seed));
     }
     std::vector<DelayDelta> deltas(kBatchWidth);
     const std::size_t retired = kBatchWidth / 2;
@@ -183,7 +184,7 @@ TEST_F(BatchFixture, RetiredLaneDoesNotDrainTheBatch) {
         for (std::size_t l = 0; l < kBatchWidth; ++l) {
             if (round >= 2 && l == retired) continue;
             expect_lane_matches(batch, l,
-                                scalars[l].engine->update(deltas[l]));
+                                references[l].reference(deltas[l]));
         }
     }
     EXPECT_EQ(batch.active_lanes(), kBatchWidth - 1);
@@ -191,14 +192,14 @@ TEST_F(BatchFixture, RetiredLaneDoesNotDrainTheBatch) {
     // Reload the retired lane with a fresh device; it rejoins the
     // batch bit-exactly.
     load_device_lane(batch, retired, 999);
-    ScalarLane fresh = make_scalar(999);
+    ReferenceLane fresh = make_reference(999);
     BatchDelayDelta bd;
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         deltas[l] = device_delta(l == retired ? 999 : 500 + l, 7);
         bd.set(l, &deltas[l]);
     }
     batch.update(bd);
-    expect_lane_matches(batch, retired, fresh.engine->update(deltas[retired]));
+    expect_lane_matches(batch, retired, fresh.reference(deltas[retired]));
 }
 
 /// Campaign-shaped rollout context over the mini-ALU, built the way
@@ -245,9 +246,8 @@ TEST_F(RolloutFixture, BatchRollMatchesRollDeviceBitwise) {
     std::vector<DeviceOutcome> batched(samples.size());
     BatchRollout rollout(ctx);
     rollout.roll(samples, batched);
-    std::unique_ptr<StaEngine> scratch;
     for (std::size_t i = 0; i < samples.size(); ++i) {
-        EXPECT_EQ(batched[i], roll_device(ctx, samples[i], &scratch))
+        EXPECT_EQ(batched[i], roll_device(ctx, samples[i]))
             << "device " << i;
     }
     EXPECT_EQ(rollout.stats().devices, samples.size());
@@ -256,15 +256,14 @@ TEST_F(RolloutFixture, BatchRollMatchesRollDeviceBitwise) {
 
 TEST_F(RolloutFixture, RaggedBatchesMatchRollDevice) {
     // Every ragged size 1..width: trailing lanes retire, outcomes stay
-    // bit-identical to the scalar path.
+    // bit-identical to the roll_device reference.
     BatchRollout rollout(ctx);
-    std::unique_ptr<StaEngine> scratch;
     for (std::size_t n = 1; n <= kBatchWidth; ++n) {
         const auto samples = sample(n, 40 + n);
         std::vector<DeviceOutcome> batched(n);
         rollout.roll(samples, batched);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(batched[i], roll_device(ctx, samples[i], &scratch))
+            EXPECT_EQ(batched[i], roll_device(ctx, samples[i]))
                 << "ragged " << n << " device " << i;
         }
     }
@@ -273,7 +272,7 @@ TEST_F(RolloutFixture, RaggedBatchesMatchRollDevice) {
 TEST_F(RolloutFixture, SettledLanesRetireEarlyWithoutChangingOutcomes) {
     // High incidence + long horizon: most devices fail and trip every
     // band well before the horizon, so lanes must settle early — and
-    // still match the scalar path, which always evaluates every year.
+    // still match the roll_device reference, which evaluates every year.
     PopulationModel hot = model;
     hot.defect.incidence = 1.0;
     std::vector<DeviceSample> samples;
@@ -285,9 +284,8 @@ TEST_F(RolloutFixture, SettledLanesRetireEarlyWithoutChangingOutcomes) {
     std::vector<DeviceOutcome> batched(samples.size());
     BatchRollout rollout(ctx);
     rollout.roll(samples, batched);
-    std::unique_ptr<StaEngine> scratch;
     for (std::size_t i = 0; i < samples.size(); ++i) {
-        EXPECT_EQ(batched[i], roll_device(ctx, samples[i], &scratch))
+        EXPECT_EQ(batched[i], roll_device(ctx, samples[i]))
             << "device " << i;
     }
     // The early-retirement accounting is visible: settled lanes stop

@@ -1,19 +1,35 @@
 // Campaign engine: population sampling, device rollout, aggregation,
-// and the determinism contract (thread counts, cancellation).
+// the determinism contract (thread counts, widths, cancellation), the
+// roll_device reference oracle, and the campaign CLI's argument checks.
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
-
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "monitor/placement.hpp"
+#include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "netlist/netlist_io.hpp"
 #include "timing/batch_sta_engine.hpp"
 #include "timing/sta.hpp"
+#include "timing/sta_engine.hpp"
 #include "util/cancel.hpp"
 #include "util/diagnostic.hpp"
+#include "util/json.hpp"
+#include "util/subprocess.hpp"
+#include "wearout/mission.hpp"
+#include "wearout/wearout.hpp"
 
 namespace fastmon {
 namespace {
@@ -197,42 +213,15 @@ TEST_F(CampaignFixture, BadGridFailsPrepareButReturnsHonestStatus) {
     EXPECT_EQ(result.status.phases.front().outcome, PhaseOutcome::Failed);
 }
 
-TEST_F(CampaignFixture, FullStaMatchesIncremental) {
-    // The differential contract the bench and CI also enforce: the
-    // legacy from-scratch STA mode reproduces the incremental engine's
-    // outcomes and deterministic report blocks bit-for-bit.
-    CampaignConfig incremental = small_config();
-    CampaignConfig full = small_config();
-    full.full_sta = true;
-    full.num_threads = 2;  // sharded engines vs serial full rebuilds
-
-    const CampaignResult a = run_campaign(nl, incremental);
-    const CampaignResult b = run_campaign(nl, full);
-    EXPECT_EQ(a.outcomes, b.outcomes);
-    const Json ja = a.to_json(incremental);
-    const Json jb = b.to_json(full);
-    for (const char* block : {"campaign", "aggregate"}) {
-        ASSERT_NE(ja.find(block), nullptr);
-        ASSERT_NE(jb.find(block), nullptr);
-        EXPECT_EQ(ja.find(block)->dump(2), jb.find(block)->dump(2));
-    }
-    // The mode is surfaced in the non-deterministic "run" block only.
-    ASSERT_NE(jb.find("run"), nullptr);
-    ASSERT_NE(jb.find("run")->find("sta_mode"), nullptr);
-    EXPECT_EQ(jb.find("run")->find("sta_mode")->as_string(), "full_rebuild");
-    EXPECT_EQ(ja.find("run")->find("sta_mode")->as_string(),
-              kBatchWidth > 1 ? "batched" : "incremental");
-}
-
 TEST_F(CampaignFixture, BatchedMatchesScalarAcrossWidthsBitwise) {
-    // The tentpole differential: the batched SoA engine must reproduce
-    // the scalar incremental path bit-for-bit at every runtime width
-    // (1 = scalar reference; 4 and the compiled default exercise full
-    // and clamped batches, plus a ragged tail at population 24).
-    CampaignConfig scalar = small_config();
-    scalar.batch_width = 1;
-    const CampaignResult reference = run_campaign(nl, scalar);
-    const Json jref = reference.to_json(scalar);
+    // The batched SoA engine must give bit-identical outcomes at every
+    // runtime width (1 = one-lane batches; 4 and the compiled default
+    // exercise full and clamped batches, plus a ragged tail at
+    // population 24).
+    CampaignConfig one_lane = small_config();
+    one_lane.batch_width = 1;
+    const CampaignResult reference = run_campaign(nl, one_lane);
+    const Json jref = reference.to_json(one_lane);
 
     for (const std::size_t width : {std::size_t{4}, std::size_t{0}}) {
         CampaignConfig batched = small_config();
@@ -245,34 +234,31 @@ TEST_F(CampaignFixture, BatchedMatchesScalarAcrossWidthsBitwise) {
             EXPECT_EQ(jb.find(block)->dump(2), jref.find(block)->dump(2))
                 << "width " << width;
         }
-        // Run-block bookkeeping: resolved width and mode.
+        // Run-block bookkeeping: the resolved width.
         const Json* run = jb.find("run");
         ASSERT_NE(run, nullptr);
         const std::size_t resolved = width == 0 ? kBatchWidth : width;
         EXPECT_EQ(static_cast<std::size_t>(
                       run->find("batch_width")->as_number()),
                   std::min(resolved, kBatchWidth));
-        EXPECT_EQ(run->find("sta_mode")->as_string(),
-                  std::min(resolved, kBatchWidth) > 1 ? "batched"
-                                                      : "incremental");
     }
     ASSERT_NE(jref.find("run"), nullptr);
-    EXPECT_EQ(jref.find("run")->find("sta_mode")->as_string(), "incremental");
+    EXPECT_EQ(jref.find("run")->find("batch_width")->as_number(), 1.0);
 }
 
 TEST_F(CampaignFixture, BatchedMultiWorkerMatchesSerialScalar) {
     // Batched shards on a real pool (TSan job covers this test too):
     // worker count must not leak into outcomes or aggregate blocks.
-    CampaignConfig scalar = small_config();
-    scalar.batch_width = 1;
+    CampaignConfig one_lane = small_config();
+    one_lane.batch_width = 1;
     CampaignConfig batched_pool = small_config();
     batched_pool.num_threads = 3;
     batched_pool.batch_width = 0;  // compiled width
 
-    const CampaignResult a = run_campaign(nl, scalar);
+    const CampaignResult a = run_campaign(nl, one_lane);
     const CampaignResult b = run_campaign(nl, batched_pool);
     EXPECT_EQ(a.outcomes, b.outcomes);
-    const Json ja = a.to_json(scalar);
+    const Json ja = a.to_json(one_lane);
     const Json jb = b.to_json(batched_pool);
     for (const char* block : {"campaign", "aggregate"}) {
         EXPECT_EQ(ja.find(block)->dump(2), jb.find(block)->dump(2));
@@ -383,6 +369,152 @@ TEST(Aggregate, EmptyPopulationIsSafe) {
     EXPECT_DOUBLE_EQ(agg.classification.roc_auc, 0.5);
     EXPECT_EQ(agg.lead_time_wide.count, 0u);
     EXPECT_TRUE(std::isfinite(agg.classification.average_precision));
+}
+
+/// The campaign rebuilt from its parts, independently of run_campaign's
+/// worker loop: the prepare phase's design artifacts, then roll_device
+/// (one from-scratch STA per grid year) on every device in index order,
+/// then the aggregate fold.
+CampaignResult reference_campaign(const Netlist& nl,
+                                  const CampaignConfig& config) {
+    const DelayAnnotation nominal = DelayAnnotation::nominal(nl);
+    const StaResult sta = StaEngine(nl, nominal, config.clock_margin).analyze();
+    const MonitorPlacement placement =
+        place_monitors(nl, sta, config.monitor_fraction,
+                       config.monitor_delay_fractions);
+    std::unique_ptr<WearoutModel> wearout;
+    RolloutContext ctx;
+    ctx.netlist = &nl;
+    ctx.placement = &placement;
+    ctx.clock_period = sta.clock_period;
+    ctx.grid = make_year_grid(config.horizon_years, config.step_years);
+    ctx.screen_years = config.screen_years;
+    ctx.variation_sigma_log = config.model.variation.sigma_log;
+    if (config.wearout.enabled) {
+        wearout = std::make_unique<WearoutModel>(nl, nominal, config.wearout);
+        ctx.wearout = wearout.get();
+    }
+    const std::vector<GateId> sites = combinational_sites(nl);
+    CampaignResult result;
+    result.circuit = nl.name();
+    result.num_gates = nl.size();
+    result.num_monitors = placement.num_monitors();
+    result.clock_period = sta.clock_period;
+    for (std::size_t i = 0; i < config.population; ++i) {
+        result.outcomes.push_back(roll_device(
+            ctx, sample_device(config.model, config.seed,
+                               static_cast<std::uint32_t>(i), sites,
+                               ctx.clock_period)));
+    }
+    result.devices_completed = result.outcomes.size();
+    result.aggregate = aggregate_outcomes(result.outcomes, config.aggregate);
+    return result;
+}
+
+/// run_campaign at 3 threads and the compiled width, and serially at
+/// width 1, must match the reference outcomes and its deterministic
+/// report blocks bit for bit.
+void expect_matches_reference(const Netlist& nl, CampaignConfig config,
+                              const std::string& label) {
+    const CampaignResult want = reference_campaign(nl, config);
+    // Not vacuous: some devices fail inside the horizon.
+    EXPECT_GT(want.aggregate.failed, 0u) << label;
+    const Json jwant = want.to_json(config);
+    const std::pair<std::size_t, std::size_t> runs[] = {{3, 0}, {1, 1}};
+    for (const auto& [threads, width] : runs) {
+        config.num_threads = threads;
+        config.batch_width = width;
+        const CampaignResult got = run_campaign(nl, config);
+        const std::string where = label + " threads " +
+                                  std::to_string(threads) + " width " +
+                                  std::to_string(width);
+        ASSERT_TRUE(got.status.complete()) << where;
+        EXPECT_EQ(got.outcomes, want.outcomes) << where;
+        const Json jgot = got.to_json(config);
+        for (const char* block : {"campaign", "aggregate"}) {
+            ASSERT_NE(jgot.find(block), nullptr) << where;
+            EXPECT_EQ(jgot.find(block)->dump(2), jwant.find(block)->dump(2))
+                << where << " block " << block;
+        }
+    }
+}
+
+TEST(Campaign, MatchesReferenceRollout) {
+    // The demo pipeline at the CI determinism configuration.
+    CampaignConfig ci;
+    ci.population = 1000;
+    ci.seed = 7;
+    ci.screen_years = 2.0;
+    ci.aggregate.early_fail_years = 8.0;
+    expect_matches_reference(read_netlist(FASTMON_DEMO_PIPELINE), ci,
+                             "demo_pipeline");
+
+    // A generated s9234 at quarter scale, with and without a mission
+    // profile; 45 devices leave a ragged final batch.
+    const Netlist s9234 =
+        generate_circuit(profile_config(find_profile("s9234"), 0.25));
+    CampaignConfig small;
+    small.population = 45;
+    small.seed = 5;
+    expect_matches_reference(s9234, small, "s9234");
+    small.wearout.enabled = true;
+    small.wearout.mission = *find_mission_profile("server_247");
+    expect_matches_reference(s9234, small, "s9234 server_247");
+}
+
+TEST(CampaignCli, RejectsMalformedBatchWidthAndRemovedFlags) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("fastmon_campaign_cli_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string log = (dir / "cli.txt").string();
+    const std::string out = (dir / "report.json").string();
+    SpawnOptions options;
+    options.output_path = log;
+    const auto run = [&](std::vector<std::string> extra) {
+        std::vector<std::string> argv{FASTMON_CAMPAIGN_BIN, "--circuit",
+                                      FASTMON_DEMO_PIPELINE, "--population",
+                                      "16", "--quiet", "--out", out};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        std::filesystem::remove(log);  // the child appends to it
+        auto child = Subprocess::spawn(argv, options);
+        EXPECT_TRUE(child.has_value());
+        return child ? child->exit_code() : -1;
+    };
+    const auto log_text = [&] {
+        std::ifstream in(log);
+        return std::string{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    };
+    // A sign or a non-number is a usage error, not a silently clamped
+    // or "auto" width.
+    for (const char* bad : {"-3", "abc", "4x", "+2", ""}) {
+        EXPECT_EQ(run({"--batch-width", bad}), 2) << "'" << bad << "'";
+        EXPECT_NE(log_text().find("--batch-width"), std::string::npos)
+            << log_text();
+    }
+    // The retired from-scratch STA mode is an unknown option now.
+    EXPECT_EQ(run({"--full-sta"}), 2);
+    EXPECT_NE(log_text().find("unknown option --full-sta"),
+              std::string::npos)
+        << log_text();
+    // Valid widths still run, and the run block records the resolved
+    // width (larger values clamp to the compiled one).
+    for (const char* width : {"0", "1", "64"}) {
+        ASSERT_EQ(run({"--batch-width", width}), 0) << width;
+        std::ifstream in(out);
+        const std::string text{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+        JsonParseError err;
+        const std::optional<Json> report = Json::parse(text, err);
+        ASSERT_TRUE(report.has_value()) << err.message;
+        const std::size_t want =
+            std::string(width) == "1" ? 1 : kBatchWidth;
+        EXPECT_EQ(report->find("run")->find("batch_width")->as_number(),
+                  static_cast<double>(want))
+            << width;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

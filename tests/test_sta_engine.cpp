@@ -1,16 +1,15 @@
-// Differential tests for the incremental StaEngine: every update(delta)
-// must be bit-for-bit identical (EXPECT_EQ on doubles, no tolerance) to
-// transforming the base annotation from scratch and running a full
-// pass, across sparse defect extras, dense aging scales, uniform
-// factors (power-of-two fast path and the general fallback), delta
-// reverts, and rebases.  The LifetimeSimulator section checks the
-// monitor-augmented outputs: Incremental and FullRebuild modes yield
-// equal LifetimePoints.
+// StaEngine against a test-local naive STA, and the DelayDelta
+// semantics every delta consumer must share: DelayAnnotation::transform
+// (the from-scratch reference: transform, then a fresh StaEngine) and
+// BatchStaEngine, which applies each lane's delta to its columns
+// directly.  Every comparison is bitwise (EXPECT_EQ on doubles, no
+// tolerance); a tolerance here would hide an order-of-operations bug.
 #include "timing/sta_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -18,13 +17,12 @@
 #include "monitor/placement.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "timing/batch_sta_engine.hpp"
 #include "util/prng.hpp"
 
 namespace fastmon {
 namespace {
 
-// Bitwise equality between a live engine result and the from-scratch
-// reference; any tolerance here would hide an order-of-operations bug.
 void expect_bitwise_equal(const StaResult& got, const StaResult& want) {
     ASSERT_EQ(got.max_arrival.size(), want.max_arrival.size());
     for (std::size_t i = 0; i < want.max_arrival.size(); ++i) {
@@ -37,12 +35,87 @@ void expect_bitwise_equal(const StaResult& got, const StaResult& want) {
     EXPECT_EQ(got.clock_period, want.clock_period);
 }
 
+/// Textbook STA straight off the Netlist and annotation (no flattened
+/// arrays): arrivals in topo order, downstream delays in reverse.
+StaResult naive_sta(const Netlist& nl, const DelayAnnotation& ann,
+                    double margin) {
+    const std::size_t n = nl.size();
+    StaResult r;
+    r.max_arrival.assign(n, 0.0);
+    r.min_arrival.assign(n, 0.0);
+    r.downstream.assign(n, 0.0);
+    r.path_through.assign(n, 0.0);
+    const auto order = nl.topo_order();
+    for (const GateId id : order) {
+        const Gate& g = nl.gate(id);
+        if (g.type == CellType::Input || g.type == CellType::Dff) continue;
+        Time hi = 0.0;
+        Time lo = std::numeric_limits<Time>::max();
+        for (std::uint32_t pin = 0; pin < g.fanin.size(); ++pin) {
+            const PinDelay d = ann.arc(id, pin);
+            hi = std::max(hi, r.max_arrival[g.fanin[pin]] +
+                                  std::max(d.rise, d.fall));
+            lo = std::min(lo, r.min_arrival[g.fanin[pin]] +
+                                  std::min(d.rise, d.fall));
+        }
+        r.max_arrival[id] = hi;
+        r.min_arrival[id] = lo == std::numeric_limits<Time>::max() ? 0.0 : lo;
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const Gate& g = nl.gate(*it);
+        Time best = std::numeric_limits<Time>::lowest();
+        bool observed = false;
+        for (const GateId out : g.fanout) {
+            const Gate& og = nl.gate(out);
+            if (og.type == CellType::Output || og.type == CellType::Dff) {
+                best = std::max(best, 0.0);
+                observed = true;
+                continue;
+            }
+            for (std::uint32_t pin = 0; pin < og.fanin.size(); ++pin) {
+                if (og.fanin[pin] != *it) continue;
+                const PinDelay d = ann.arc(out, pin);
+                best = std::max(best,
+                                std::max(d.rise, d.fall) + r.downstream[out]);
+                observed = true;
+            }
+        }
+        r.downstream[*it] = observed ? best : 0.0;
+    }
+    for (GateId id = 0; id < n; ++id) {
+        r.path_through[id] = r.max_arrival[id] + r.downstream[id];
+    }
+    for (const ObservePoint& op : nl.observe_points()) {
+        r.critical_path_length =
+            std::max(r.critical_path_length, r.max_arrival[op.signal]);
+    }
+    r.clock_period = margin * r.critical_path_length;
+    return r;
+}
+
+/// The from-scratch reference: transform the base, time it afresh.
 StaResult reference_sta(const Netlist& nl, const DelayAnnotation& base,
                         const DelayDelta& delta, double margin = 1.05) {
-    const DelayAnnotation degraded = base.transformed(delta);
-    StaEngine fresh(nl, degraded, margin);
-    fresh.analyze();
-    return fresh.take_result();
+    return StaEngine(nl, base.transformed(delta), margin).analyze();
+}
+
+/// Lane 0 of a BatchStaEngine over `base` after update(delta) must
+/// reproduce the reference's arrivals and clock bit for bit.
+void expect_batch_lane_matches(BatchStaEngine& batch,
+                               const DelayDelta& delta,
+                               const StaResult& want) {
+    BatchDelayDelta bd;
+    bd.set(0, &delta);
+    batch.update(bd);
+    const Netlist& nl = batch.netlist();
+    for (GateId id = 0; id < nl.size(); ++id) {
+        EXPECT_EQ(batch.max_arrival(id, 0), want.max_arrival[id])
+            << "gate " << id;
+        EXPECT_EQ(batch.min_arrival(id, 0), want.min_arrival[id])
+            << "gate " << id;
+    }
+    EXPECT_EQ(batch.critical_path_length(0), want.critical_path_length);
+    EXPECT_EQ(batch.clock_period(0), want.clock_period);
 }
 
 struct EngineFixture : ::testing::Test {
@@ -60,19 +133,15 @@ struct EngineFixture : ::testing::Test {
 
 TEST_F(EngineFixture, AnalyzeMatchesFullScopeFromScratch) {
     StaEngine engine(nl, base);
-    const StaResult& got = engine.analyze();
-    // A full-scope single-pass engine is the reference the removed
-    // run_sta() shim used to wrap; analyze() must match it bitwise.
-    StaEngine full(nl, base, 1.05, StaEngine::Scope::Full);
-    full.analyze();
-    const StaResult reference = full.take_result();
-    expect_bitwise_equal(got, reference);
-    EXPECT_EQ(engine.stats().full_passes, 1u);
+    expect_bitwise_equal(engine.analyze(), naive_sta(nl, base, 1.05));
+    // A second pass over the same annotation is unchanged.
+    expect_bitwise_equal(engine.analyze(), naive_sta(nl, base, 1.05));
 }
 
 TEST_F(EngineFixture, SparseDefectExtrasMatchFromScratch) {
-    StaEngine engine(nl, base);
-    engine.analyze();
+    // Extras only (no scales): single-pin and all-pin defect arcs.
+    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
+    batch.load_lane(0);
     Prng rng = Prng::stream(11, 0xD1FFULL);
     for (int round = 0; round < 12; ++round) {
         DelayDelta delta;
@@ -88,127 +157,82 @@ TEST_F(EngineFixture, SparseDefectExtrasMatchFromScratch) {
                     : static_cast<std::uint32_t>(rng.next_below(fanin));
             delta.add(g, pin, rng.uniform(0.5, 25.0));
         }
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
-    }
-    EXPECT_GT(engine.stats().incremental_updates, 0u);
-    EXPECT_GT(engine.stats().nodes_pruned + engine.stats().nodes_repropagated,
-              0u);
-}
-
-TEST_F(EngineFixture, DenseAgingScalesMatchFromScratch) {
-    StaEngine engine(nl, base);
-    Prng rng = Prng::stream(12, 0xA6E5ULL);
-    for (int round = 0; round < 6; ++round) {
-        DelayDelta delta;
-        for (const GateId g : comb) {
-            delta.scale(g, 1.0 + rng.uniform(0.0, 0.3));
-        }
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
+        expect_batch_lane_matches(batch, delta,
+                                  reference_sta(nl, base, delta));
     }
 }
 
 TEST_F(EngineFixture, MixedScaleAndExtraOrderIsPreserved) {
     // A scale and an extra on the SAME gate: the contract applies scales
-    // before extras, i.e. extra is not multiplied.
-    StaEngine engine(nl, base);
+    // before extras, i.e. the extra is not multiplied.
     const GateId g = comb[comb.size() / 2];
     DelayDelta delta;
     delta.scale(g, 1.4);
     delta.add(g, DelayDelta::kAllPins, 7.25);
     delta.scale(comb.front(), 2.0);
-    expect_bitwise_equal(engine.update(delta), reference_sta(nl, base, delta));
-}
-
-TEST_F(EngineFixture, PowerOfTwoUniformScaleUsesExactRescale) {
-    StaEngine engine(nl, base);
-    engine.analyze();
-    for (const double factor : {2.0, 0.5, 4.0, 1.0, 0.25}) {
-        DelayDelta delta;
-        delta.uniform_scale = factor;
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
+    const DelayAnnotation degraded = base.transformed(delta);
+    for (std::uint32_t pin = 0; pin < nl.gate(g).fanin.size(); ++pin) {
+        EXPECT_EQ(degraded.arc(g, pin).rise,
+                  base.arc(g, pin).rise * 1.4 + 7.25);
+        EXPECT_EQ(degraded.arc(g, pin).fall,
+                  base.arc(g, pin).fall * 1.4 + 7.25);
     }
-    // All five applied through the O(n) rescale path, no repropagation.
-    EXPECT_GE(engine.stats().scaled_updates, 4u);
-    EXPECT_EQ(engine.stats().nodes_repropagated, 0u);
-}
-
-TEST_F(EngineFixture, NonPowerOfTwoUniformScaleFallsBack) {
-    StaEngine engine(nl, base);
-    for (const double factor : {1.1, 0.93, 3.0}) {
-        DelayDelta delta;
-        delta.uniform_scale = factor;
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
-    }
-    EXPECT_EQ(engine.stats().scaled_updates, 0u);
+    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
+    batch.load_lane(0);
+    expect_batch_lane_matches(batch, delta, reference_sta(nl, base, delta));
 }
 
 TEST_F(EngineFixture, UniformScaleComposesWithPerGateEntries) {
-    StaEngine engine(nl, base);
+    // uniform_scale first, then the per-gate scale, then the extra.
     DelayDelta delta;
     delta.uniform_scale = 1.07;
     delta.scale(comb.front(), 1.5);
     delta.add(comb.back(), DelayDelta::kAllPins, 3.0);
-    expect_bitwise_equal(engine.update(delta), reference_sta(nl, base, delta));
+    const DelayAnnotation degraded = base.transformed(delta);
+    const GateId s = comb.front();
+    const GateId e = comb.back();
+    for (std::uint32_t pin = 0; pin < nl.gate(s).fanin.size(); ++pin) {
+        EXPECT_EQ(degraded.arc(s, pin).rise,
+                  base.arc(s, pin).rise * 1.07 * 1.5);
+    }
+    for (std::uint32_t pin = 0; pin < nl.gate(e).fanin.size(); ++pin) {
+        EXPECT_EQ(degraded.arc(e, pin).rise,
+                  base.arc(e, pin).rise * 1.07 + 3.0);
+    }
+    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
+    batch.load_lane(0);
+    expect_batch_lane_matches(batch, delta, reference_sta(nl, base, delta));
 }
 
 TEST_F(EngineFixture, DeltasAreAbsoluteNotCumulative) {
     // Gate dirty in update k but absent from update k+1 reverts to base.
-    StaEngine engine(nl, base);
+    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
+    batch.load_lane(0);
     const GateId a = comb[1];
     const GateId b = comb[comb.size() - 2];
     DelayDelta first;
     first.add(a, DelayDelta::kAllPins, 40.0);
     first.scale(b, 3.0);
-    engine.update(first);
+    expect_batch_lane_matches(batch, first, reference_sta(nl, base, first));
 
     DelayDelta second;
     second.scale(b, 1.2);  // `a` is gone: must revert
-    expect_bitwise_equal(engine.update(second),
-                         reference_sta(nl, base, second));
+    expect_batch_lane_matches(batch, second,
+                              reference_sta(nl, base, second));
 
     DelayDelta empty;  // everything reverts to the plain base
-    expect_bitwise_equal(engine.update(empty), reference_sta(nl, base, empty));
-}
-
-TEST_F(EngineFixture, EmptyDeltaOnValidEngineIsCached) {
-    StaEngine engine(nl, base);
-    engine.analyze();
-    const std::uint64_t full_before = engine.stats().full_passes;
-    DelayDelta empty;
-    expect_bitwise_equal(engine.update(empty),
-                         reference_sta(nl, base, empty));
-    EXPECT_EQ(engine.stats().full_passes, full_before);
-    EXPECT_EQ(engine.stats().nodes_repropagated, 0u);
-}
-
-TEST_F(EngineFixture, RebaseRetargetsWithoutReallocation) {
-    const DelayAnnotation other = DelayAnnotation::with_variation(nl, 0.12, 99);
-    StaEngine engine(nl, base);
-    engine.analyze();
-    engine.rebase(other);
-    DelayDelta delta;
-    delta.add(comb[3], DelayDelta::kAllPins, 9.0);
-    expect_bitwise_equal(engine.update(delta), reference_sta(nl, other, delta));
-    EXPECT_EQ(engine.stats().rebases, 1u);
-
-    // And back again: results follow the new base exactly.
-    engine.rebase(base);
-    expect_bitwise_equal(engine.analyze(),
-                         reference_sta(nl, base, DelayDelta{}));
+    expect_batch_lane_matches(batch, empty, naive_sta(nl, base, 1.05));
 }
 
 TEST_F(EngineFixture, ArrivalsScopeMatchesArrivalFields) {
-    StaEngine full(nl, base, 1.05, StaEngine::Scope::Full);
-    StaEngine arrivals(nl, base, 1.05, StaEngine::Scope::Arrivals);
     DelayDelta delta;
     delta.scale(comb[0], 1.8);
     delta.add(comb[2], DelayDelta::kAllPins, 5.0);
-    const StaResult& f = full.update(delta);
-    const StaResult& a = arrivals.update(delta);
+    const DelayAnnotation degraded = base.transformed(delta);
+    StaEngine full(nl, degraded, 1.05, StaEngine::Scope::Full);
+    StaEngine arrivals(nl, degraded, 1.05, StaEngine::Scope::Arrivals);
+    const StaResult& f = full.analyze();
+    const StaResult& a = arrivals.analyze();
     for (GateId id = 0; id < nl.size(); ++id) {
         EXPECT_EQ(a.max_arrival[id], f.max_arrival[id]);
         EXPECT_EQ(a.min_arrival[id], f.min_arrival[id]);
@@ -223,11 +247,11 @@ TEST_F(EngineFixture, TakeResultInvalidatesThenRecovers) {
     StaEngine engine(nl, base);
     engine.analyze();
     const StaResult owned = engine.take_result();
+    EXPECT_FALSE(engine.valid());
     EXPECT_EQ(owned.max_arrival.size(), nl.size());
-    // The engine recovers via a fresh full pass on the next update.
-    DelayDelta delta;
-    delta.add(comb[0], DelayDelta::kAllPins, 2.0);
-    expect_bitwise_equal(engine.update(delta), reference_sta(nl, base, delta));
+    // The next analyze() rebuilds the arenas from scratch.
+    expect_bitwise_equal(engine.analyze(), owned);
+    EXPECT_TRUE(engine.valid());
 }
 
 TEST_F(EngineFixture, MovedFromEngineIsInvalidAndTargetStaysLive) {
@@ -245,10 +269,8 @@ TEST_F(EngineFixture, MovedFromEngineIsInvalidAndTargetStaysLive) {
     EXPECT_TRUE(target.valid());
     expect_bitwise_equal(target.result(), before);
 
-    // The target is fully functional: updates match from-scratch.
-    DelayDelta delta;
-    delta.add(comb[1], DelayDelta::kAllPins, 3.5);
-    expect_bitwise_equal(target.update(delta), reference_sta(nl, base, delta));
+    // The target is fully functional: a fresh pass reproduces it.
+    expect_bitwise_equal(target.analyze(), before);
 
     // Move assignment nulls the new source the same way, and a
     // moved-from engine can be assigned a live one again.
@@ -258,21 +280,22 @@ TEST_F(EngineFixture, MovedFromEngineIsInvalidAndTargetStaysLive) {
     EXPECT_FALSE(replacement.valid());  // NOLINT(bugprone-use-after-move)
     EXPECT_TRUE(source.valid());
     expect_bitwise_equal(source.result(), before);
-    expect_bitwise_equal(source.update(delta), reference_sta(nl, base, delta));
+    expect_bitwise_equal(source.analyze(), before);
 }
 
 TEST(StaEngineS27, ClockMarginFlowsThroughUpdates) {
     const Netlist nl = make_s27();
     const DelayAnnotation base = DelayAnnotation::nominal(nl);
-    StaEngine engine(nl, base, 1.6);
     DelayDelta delta;
     delta.uniform_scale = 1.25;
-    const StaResult& got = engine.update(delta);
-    expect_bitwise_equal(got, reference_sta(nl, base, delta, 1.6));
-    EXPECT_EQ(got.clock_period, 1.6 * got.critical_path_length);
+    const StaResult want = reference_sta(nl, base, delta, 1.6);
+    EXPECT_EQ(want.clock_period, 1.6 * want.critical_path_length);
+    BatchStaEngine batch(nl, base, 1.6);
+    batch.load_lane(0);
+    expect_batch_lane_matches(batch, delta, want);
 }
 
-// --- Monitor-augmented differential: LifetimeSimulator modes --------
+// --- LifetimeSimulator -----------------------------------------------
 
 struct LifetimeDiffFixture : ::testing::Test {
     Netlist nl = make_mini_alu();
@@ -297,47 +320,6 @@ struct LifetimeDiffFixture : ::testing::Test {
         return d;
     }
 };
-
-TEST_F(LifetimeDiffFixture, IncrementalEqualsFullRebuildPoints) {
-    std::vector<double> grid;
-    for (double y = 0.0; y <= 12.0; y += 0.75) grid.push_back(y);
-
-    LifetimeSimulator inc(nl, base, sta.clock_period, aging, 3);
-    LifetimeSimulator full(nl, base, sta.clock_period, aging, 3);
-    inc.add_defect(make_defect());
-    full.add_defect(make_defect());
-    inc.set_sta_mode(LifetimeSimulator::StaMode::Incremental);
-    full.set_sta_mode(LifetimeSimulator::StaMode::FullRebuild);
-
-    const auto a = inc.sweep(grid, placement);
-    const auto b = full.sweep(grid, placement);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "grid point " << grid[i];
-    }
-    EXPECT_EQ(inc.first_alert_years(grid, placement),
-              full.first_alert_years(grid, placement));
-}
-
-TEST_F(LifetimeDiffFixture, SharedEngineIsRebasedPerDevice) {
-    // One engine handed to two simulators with different bases, as the
-    // campaign worker does across its device shard.
-    const DelayAnnotation other = DelayAnnotation::with_variation(nl, 0.05, 22);
-    StaEngine engine(nl, base, 1.0, StaEngine::Scope::Arrivals);
-    std::vector<double> grid{0.0, 2.0, 6.0, 10.0};
-
-    LifetimeSimulator first(nl, base, sta.clock_period, aging, 3, &engine);
-    const auto pts_first = first.sweep(grid, placement);
-
-    LifetimeSimulator second(nl, other, sta.clock_period, aging, 3, &engine);
-    const auto pts_second = second.sweep(grid, placement);
-
-    LifetimeSimulator lone(nl, other, sta.clock_period, aging, 3);
-    EXPECT_EQ(pts_second, lone.sweep(grid, placement));
-    // Re-run the first device on the shared engine: rebase restores it.
-    LifetimeSimulator again(nl, base, sta.clock_period, aging, 3, &engine);
-    EXPECT_EQ(pts_first, again.sweep(grid, placement));
-}
 
 TEST_F(LifetimeDiffFixture, DegradationDeltaMatchesDegradedAnnotation) {
     LifetimeSimulator sim(nl, base, sta.clock_period, aging, 3);

@@ -180,6 +180,26 @@ TEST(ThreadPool, StatsCountExecutedTasks) {
     EXPECT_GE(stats.total_busy_seconds(), 0.0);
 }
 
+TEST(ThreadPool, StatsCountIsExactRightAfterEveryWait) {
+    // The run/wait/read-stats pattern, repeated: every task of a group
+    // must be counted by the time wait() returns, not shortly after.
+    ThreadPool pool(4);
+    constexpr int kRounds = 200;
+    constexpr int kTasks = 300;
+    std::atomic<int> ran{0};
+    for (int round = 1; round <= kRounds; ++round) {
+        ThreadPool::TaskGroup group(pool);
+        for (int i = 0; i < kTasks; ++i) {
+            group.run([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        }
+        group.wait();
+        ASSERT_EQ(pool.stats().tasks_executed,
+                  static_cast<std::uint64_t>(round) * kTasks)
+            << "round " << round;
+    }
+    EXPECT_EQ(ran.load(), kRounds * kTasks);
+}
+
 TEST(ThreadPool, PublishMetricsFillsPoolGauges) {
     ThreadPool pool(2);
     ThreadPool::TaskGroup group(pool);

@@ -1,8 +1,8 @@
 // Multi-mechanism wear-out subsystem: mission profiles, mechanism
 // stress rates, activity extraction, Weibull severity determinism, and
 // the campaign-level differentials (legacy bit-identity with the
-// constant-activity legacy-only registry; scalar/batched/full-STA
-// bit-identity under a mission profile; resume across phase cycles).
+// constant-activity legacy-only registry; width-1/batched bit-identity
+// under a mission profile; resume across phase cycles).
 #include "wearout/wearout.hpp"
 
 #include <gtest/gtest.h>
@@ -467,28 +467,24 @@ TEST(WearoutCampaign, ConstantActivityLegacyRegistryIsBitIdentical) {
     EXPECT_TRUE(a.aggregate.failed_by_mechanism.empty());
 }
 
-TEST(WearoutCampaign, MissionWidthsAndFullStaAreBitIdentical) {
+TEST(WearoutCampaign, MissionWidthsAreBitIdentical) {
     const Netlist nl = make_mini_alu();
-    CampaignConfig scalar = campaign_config();
-    scalar.wearout.enabled = true;
-    scalar.wearout.mission =
+    CampaignConfig one_lane = campaign_config();
+    one_lane.wearout.enabled = true;
+    one_lane.wearout.mission =
         *find_mission_profile("automotive_thermal_cycling");
-    scalar.batch_width = 1;
-    const CampaignResult reference = run_campaign(nl, scalar);
-    const Json jref = reference.to_json(scalar);
+    one_lane.batch_width = 1;
+    const CampaignResult reference = run_campaign(nl, one_lane);
+    const Json jref = reference.to_json(one_lane);
 
-    CampaignConfig batched = scalar;
+    CampaignConfig batched = one_lane;
     batched.batch_width = 0;  // compiled width
-    CampaignConfig full = scalar;
-    full.full_sta = true;
-    for (const CampaignConfig* config : {&batched, &full}) {
-        const CampaignResult result = run_campaign(nl, *config);
-        EXPECT_EQ(result.outcomes, reference.outcomes);
-        const Json j = result.to_json(*config);
-        for (const char* block : {"campaign", "aggregate"}) {
-            ASSERT_NE(j.find(block), nullptr);
-            EXPECT_EQ(j.find(block)->dump(2), jref.find(block)->dump(2));
-        }
+    const CampaignResult result = run_campaign(nl, batched);
+    EXPECT_EQ(result.outcomes, reference.outcomes);
+    const Json j = result.to_json(batched);
+    for (const char* block : {"campaign", "aggregate"}) {
+        ASSERT_NE(j.find(block), nullptr);
+        EXPECT_EQ(j.find(block)->dump(2), jref.find(block)->dump(2));
     }
 }
 

@@ -13,6 +13,7 @@
 // campaign at the next device boundary, snapshot the checkpoint, and
 // still emit an honest partial report (exit status stays 0, as with
 // the benches).
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,13 +71,10 @@ void print_usage() {
         "  --checkpoint <path>      resumable snapshot file\n"
         "  --checkpoint-every <n>   devices between snapshots (default 64)\n"
         "  --resume                 resume from --checkpoint if present\n"
-        "  --full-sta               legacy from-scratch STA per grid point\n"
-        "                           (reference for the incremental engine;\n"
-        "                           identical report blocks, slower)\n"
-        "  --batch-width <n>        devices per batched STA pass (0 = auto\n"
-        "                           from the compiled width, 1 = scalar\n"
-        "                           reference engine; identical report\n"
-        "                           blocks at every width)\n"
+        "  --batch-width <n>        devices per batched STA pass (0 = auto:\n"
+        "                           the compiled width; larger values clamp\n"
+        "                           to it; identical report blocks at\n"
+        "                           every width)\n"
         "\n"
         "fleet sharding (see also fastmon_fleet / fastmon_merge):\n"
         "  --shard <i>/<n>          roll only shard i of n (0-based); the\n"
@@ -170,8 +168,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             }
         } else if (strcmp(arg, "--resume") == 0) {
             opt.config.resume = true;
-        } else if (strcmp(arg, "--full-sta") == 0) {
-            opt.config.full_sta = true;
         } else if (strcmp(arg, "--quiet") == 0) {
             opt.quiet = true;
         } else if (strcmp(arg, "--progress") == 0) {
@@ -217,7 +213,17 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             opt.config.clock_margin = std::atof(v);
         } else if (strcmp(arg, "--batch-width") == 0) {
             if (!(v = need_value(i))) return false;
-            opt.config.batch_width = static_cast<std::size_t>(std::atoll(v));
+            // Digits only: a sign or a non-number is a usage error,
+            // never a silently clamped or "auto" width.
+            char* end = nullptr;
+            const unsigned long long n = std::strtoull(v, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(*v)) ||
+                *end != '\0') {
+                std::cerr << "error: --batch-width expects a non-negative "
+                             "integer (got '" << v << "')\n";
+                return false;
+            }
+            opt.config.batch_width = static_cast<std::size_t>(n);
         } else if (strcmp(arg, "--threads") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.num_threads = static_cast<std::size_t>(std::atoll(v));
