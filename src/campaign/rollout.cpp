@@ -191,10 +191,9 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
 
 BatchRollout::BatchRollout(const RolloutContext& ctx)
     : ctx_(&ctx),
-      nominal_(DelayAnnotation::nominal(*ctx.netlist)),
-      // The rollout only evaluates max arrivals against the monitor
-      // bands, so min-arrival tracking is dropped entirely.
-      engine_(*ctx.netlist, nominal_, 1.0, /*track_min=*/false) {
+      // Lanes scale the campaign-nominal base by their device's
+      // variation factors at load time.
+      engine_(*ctx.netlist, DelayAnnotation::nominal(*ctx.netlist)) {
     const auto ops = ctx.netlist->observe_points();
     const MonitorPlacement& placement = *ctx.placement;
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
@@ -258,11 +257,10 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
 
     const Time* const arr = engine_.max_arrival_data();
     for (const double year : ctx_->grid) {
-        batch_delta_.clear();
         // Every lane's delta comes from the same DeviceDegradation
-        // formula (all combinational gates, ascending), so the engine
-        // may skip its per-update shape detection.
-        batch_delta_.aligned = true;
+        // formula (all combinational gates, ascending): the shape
+        // BatchStaEngine::update requires.
+        batch_delta_.clear();
         const double pow_term =
             shared_term && year > 0.0 ? model0.pow_term(year) : 0.0;
         bool any_active = false;

@@ -134,9 +134,6 @@ public:
 
 private:
     const RolloutContext* ctx_;
-    /// Campaign-nominal base shared by every lane; lanes scale it by
-    /// their device's variation factors at load time.
-    DelayAnnotation nominal_;
     BatchStaEngine engine_;
     std::array<DeviceDegradation, kBatchWidth> degradation_;
     std::array<DelayDelta, kBatchWidth> lane_delta_;

@@ -24,9 +24,16 @@ Json sketch_block(const QuantileSketch& sketch) {
 /// artifact: the result still parses as JSON, so only the content
 /// checksum can catch it — exactly the damage class the merge side
 /// must detect.  (shard.corrupt_artifact fault-injection helper.)
+/// The flipped digit leads a number, so the parsed value always
+/// changes; a trailing digit of a %.17g double may round back to the
+/// same value.
 void corrupt_in_place(std::string& text) {
     const std::size_t start = text.size() / 2;
     for (std::size_t i = start; i < text.size(); ++i) {
+        const char prev = i > 0 ? text[i - 1] : ' ';
+        if (prev != ' ' && prev != ':' && prev != ',' && prev != '[') {
+            continue;
+        }
         if (text[i] >= '0' && text[i] <= '8') {
             ++text[i];
             return;

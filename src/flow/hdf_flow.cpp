@@ -665,6 +665,8 @@ RunManifest HdfFlow::manifest(const HdfFlowResult& result) const {
     m.set_circuit("candidate_faults", result.candidate_faults);
     m.set_circuit("simulated_faults", result.simulated_faults);
     m.set_circuit("target_faults", result.target_faults);
+    m.set_circuit("schedule_proven_optimal", result.schedule_proven_optimal);
+    m.set_circuit("schedule_uncovered", result.schedule_uncovered);
 
     for (const PhaseTime& p : result.phases) m.add_phase(p);
     m.set_total_wall_seconds(result.total_wall_seconds);

@@ -154,4 +154,15 @@ void print_phase_table(std::ostream& os, const HdfFlowResult& result) {
     t.print(os);
 }
 
+std::string schedule_label(const HdfFlowResult& result) {
+    std::string label = result.schedule_proven_optimal
+                            ? "proven optimal"
+                            : "not proven optimal";
+    if (!result.schedule_proven_optimal || result.schedule_uncovered > 0) {
+        label += ", " + std::to_string(result.schedule_uncovered) +
+                 " uncovered target faults";
+    }
+    return label;
+}
+
 }  // namespace fastmon

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <span>
+#include <string>
 
 #include "flow/hdf_flow.hpp"
 
@@ -29,5 +30,10 @@ void print_engine_counters(std::ostream& os,
 /// Per-phase wall/CPU breakdown of one flow run, with each phase's
 /// share of the total wall clock.
 void print_phase_table(std::ostream& os, const HdfFlowResult& result);
+
+/// Honesty label of the pattern/config schedule: "proven optimal", or
+/// "not proven optimal, N uncovered target faults" when a set-cover
+/// solve ran out of budget (the schedule is then only the best found).
+[[nodiscard]] std::string schedule_label(const HdfFlowResult& result);
 
 }  // namespace fastmon

@@ -158,7 +158,6 @@ double DeviceDegradation::mechanism_coefficient(std::size_t m,
 }
 
 void DeviceDegradation::fill_wearout(double years, DelayDelta& delta) const {
-    delta.uniform_scale = 1.0;
     const std::size_t n = comb_gates_.size();
     const std::size_t num_mechs = wearout_->num_mechanisms();
     coef_.resize(num_mechs);
@@ -210,7 +209,6 @@ void DeviceDegradation::fill_from_factor(double years, double factor,
     // shape (every combinational gate, ascending) is fixed per device
     // and this runs once per lane per grid year in the campaign hot
     // path.  Contents are bit-identical to the rebuild.
-    delta.uniform_scale = 1.0;
     const double base_factor = factor - 1.0;
     const std::size_t n = comb_gates_.size();
     delta.scales.resize(n);

@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -124,6 +125,23 @@ void Netlist::finalize() {
     for (std::uint32_t i = 0; i < sources_.size(); ++i) {
         source_index_[sources_[i]] = i;
     }
+    // Kahn seeds every Input/Dff before popping any node, so the sources
+    // form the prefix of topo_ (the timing engines rely on it).
+    assert(std::all_of(topo_.begin(), topo_.begin() + sources_.size(),
+                       [this](GateId id) {
+                           return source_index_[id] !=
+                                  std::numeric_limits<std::uint32_t>::max();
+                       }));
+
+    // Flat arc layout, gate-major in pin order.
+    arc_offset_.resize(n + 1);
+    arc_driver_.clear();
+    for (GateId id = 0; id < n; ++id) {
+        arc_offset_[id] = static_cast<std::uint32_t>(arc_driver_.size());
+        const std::vector<GateId>& fanin = gates_[id].fanin;
+        arc_driver_.insert(arc_driver_.end(), fanin.begin(), fanin.end());
+    }
+    arc_offset_[n] = static_cast<std::uint32_t>(arc_driver_.size());
 
     // Observation points: POs then DFF D inputs.
     observes_.clear();

@@ -71,8 +71,8 @@ public:
     void append_fanin(GateId gate, GateId driver);
 
     /// Builds fanout lists, the topological order of the combinational
-    /// core and validates arities.  Throws std::runtime_error on
-    /// combinational cycles or arity violations.
+    /// core and the flat arc layout, and validates arities.  Throws
+    /// std::runtime_error on combinational cycles or arity violations.
     void finalize();
 
     [[nodiscard]] const std::string& name() const { return name_; }
@@ -100,8 +100,23 @@ public:
     /// Topological order over all nodes: sources first, Output/Dff sink
     /// nodes last; every gate appears after all its fanins (except the
     /// Dff nodes, whose Q-as-source role is represented by the Dff node
-    /// itself appearing in comb_sources()).
+    /// itself appearing in comb_sources()).  The first
+    /// comb_sources().size() entries are exactly the comb_sources() set
+    /// (in id order), so a pass can zero that prefix and start after it.
     [[nodiscard]] std::span<const GateId> topo_order() const { return topo_; }
+
+    /// Flat arc layout: the fanin pins of all gates numbered
+    /// consecutively by gate id, then pin.  Gate `id` owns arcs
+    /// [arc_offsets()[id], arc_offsets()[id + 1]) — size() + 1 entries —
+    /// and arc_drivers()[arc] is the driver of that pin
+    /// (gate(id).fanin[pin]).  Timing engines index their per-arc
+    /// delay columns with it.  Requires finalize().
+    [[nodiscard]] std::span<const std::uint32_t> arc_offsets() const {
+        return arc_offset_;
+    }
+    [[nodiscard]] std::span<const GateId> arc_drivers() const {
+        return arc_driver_;
+    }
 
     /// Position of a node in topo_order().
     [[nodiscard]] std::uint32_t topo_rank(GateId id) const { return rank_[id]; }
@@ -143,6 +158,8 @@ private:
     std::vector<std::uint32_t> rank_;
     std::vector<std::uint32_t> level_;
     std::vector<std::uint32_t> source_index_;
+    std::vector<std::uint32_t> arc_offset_;
+    std::vector<GateId> arc_driver_;
     std::unordered_map<std::string, GateId> by_name_;
     /// Fanout-cone memo, one slot per gate (sized by finalize()).
     std::unique_ptr<detail::ConeSlot[], detail::ConeSlotsDeleter> cones_;

@@ -2,24 +2,25 @@
 //
 // BatchStaEngine times the lifetime campaign per *population*: one
 // engine propagates kBatchWidth devices ("lanes") per topological
-// pass.  The flattened traversal structure (topo order, fanin ids, arc
-// offsets) is shared once per netlist, while arc delays and arrival
-// times are stored as [arc][lane] / [gate][lane] columns — kBatchWidth
+// pass.  The traversal structure is the netlist's own (topo_order()
+// and the flat arc layout, arc_offsets() / arc_drivers()), shared by
+// every lane and every year, while arc delays and arrival times are
+// stored as [arc][lane] / [gate][lane] columns — kBatchWidth
 // contiguous doubles per arc — so the innermost max/add reduction is a
 // fixed-trip-count lane loop the compiler auto-vectorizes (AVX2 on
 // x86, plain scalar code elsewhere; no intrinsics).
 //
 // Bit-identity contract: the per-lane operation order is exactly the
 // scalar StaEngine's — lanes are independent columns, the pin loop
-// stays outermost, and max/min reductions run in the same order — so a
-// lane's arrivals are bit-for-bit equal to a StaEngine over that
+// stays outermost, and the max reduction runs in the same order — so a
+// lane's max arrivals are bit-for-bit equal to a StaEngine over that
 // device's annotation transformed by the lane's delta.  Campaign
 // outcomes therefore match the roll_device reference exactly; the
 // documented <= 4 ulp tolerance of the batched differential is
-// headroom for platforms whose
-// vectorizer contracts a+b*c into FMA (none of the supported
-// -ffp-contract=off / default GCC x86 configurations do for this
-// code), not an accepted slack on this implementation.
+// headroom for platforms whose vectorizer contracts a+b*c into FMA
+// (none of the supported -ffp-contract=off / default GCC x86
+// configurations do for this code), not an accepted slack on this
+// implementation.
 //
 // Lane lifecycle: load_lane() points a lane at one device (shared base
 // arcs scaled by per-gate process-variation factors, without
@@ -30,9 +31,9 @@
 // delta slot may stay null.  A retired lane can be re-loaded for the
 // next device without draining the rest of the batch.
 //
-// The engine maintains arrival times only (the campaign hot path);
-// monitor placement and fault classification keep using the scalar
-// Scope::Full engine.
+// The engine maintains max arrivals and the critical path only (all
+// the campaign rollout reads); min arrivals, the clock period and the
+// backward pass stay with the scalar StaEngine.
 #pragma once
 
 #include <array>
@@ -66,17 +67,8 @@ static_assert(kBatchWidth >= 1 && kBatchWidth <= 64,
 /// not cumulative across updates.
 struct BatchDelayDelta {
     std::array<const DelayDelta*, kBatchWidth> lanes{};
-    /// Caller's promise that every non-null lane scales the same gate
-    /// sequence, strictly ascending (the shape DeviceDegradation always
-    /// produces: all combinational gates in id order).  Lets apply()
-    /// skip the per-update shape detection; verified by asserts in
-    /// debug builds, trusted in release.
-    bool aligned = false;
 
-    void clear() {
-        lanes.fill(nullptr);
-        aligned = false;
-    }
+    void clear() { lanes.fill(nullptr); }
     void set(std::size_t lane, const DelayDelta* delta) {
         assert(lane < kBatchWidth);
         lanes[lane] = delta;
@@ -86,22 +78,15 @@ struct BatchDelayDelta {
 class BatchStaEngine {
 public:
     struct Stats {
-        std::uint64_t batch_passes = 0;   ///< full SoA forward passes
-        std::uint64_t scaled_updates = 0; ///< exact pow2 per-lane rescales
-        std::uint64_t lane_updates = 0;   ///< active lanes summed over updates
+        std::uint64_t batch_passes = 0;  ///< SoA forward passes
         std::uint64_t lane_loads = 0;
         std::uint64_t lanes_retired = 0;
     };
 
     /// `base` is the *shared* base annotation (the campaign's nominal
-    /// delays); per-device silicon is loaded per lane via load_lane().
-    /// `base` must outlive the engine.  `track_min` = false drops the
-    /// min-arrival columns entirely (allocation and arithmetic): the
-    /// campaign rollout only reads max arrivals, and halving the
-    /// per-arc work is most of the batch speedup on small circuits.
-    /// Max arrivals are bit-identical either way.
-    BatchStaEngine(const Netlist& netlist, const DelayAnnotation& base,
-                   double clock_margin = 1.0, bool track_min = true);
+    /// delays), copied at construction; per-device silicon is loaded
+    /// per lane via load_lane().  Every lane starts inactive.
+    BatchStaEngine(const Netlist& netlist, const DelayAnnotation& base);
 
     BatchStaEngine(const BatchStaEngine&) = delete;
     BatchStaEngine& operator=(const BatchStaEngine&) = delete;
@@ -111,14 +96,11 @@ public:
     /// Points `lane` at a device whose arc delays are the shared base
     /// scaled by a per-gate factor (factors[gate] applies to every arc
     /// of the gate; 1.0 leaves it at base).  This is the columnar
-    /// equivalent of DelayAnnotation::with_lognormal_variation + rebase
-    /// without materializing the annotation: max/min over (rise, fall)
-    /// commute bit-for-bit with the positive per-gate scaling.
-    /// (Re)activates the lane; the next update() rebuilds it densely.
+    /// equivalent of DelayAnnotation::with_lognormal_variation without
+    /// materializing the annotation: max over (rise, fall) commutes
+    /// bit-for-bit with the positive per-gate scaling.  (Re)activates
+    /// the lane.
     void load_lane(std::size_t lane, std::span<const double> gate_factors);
-
-    /// Lane at the unmodified shared base (all factors 1.0).
-    void load_lane(std::size_t lane);
 
     /// Parks a lane: it stops accepting deltas (its BatchDelayDelta
     /// slot may be null) and its results become meaningless until the
@@ -131,23 +113,19 @@ public:
     }
     [[nodiscard]] std::size_t active_lanes() const;
 
-    /// Advances every active lane to base-transformed-by-its-delta and
-    /// recomputes arrivals for the whole batch in one topological
-    /// pass.  When every active lane requests a pure power-of-two
-    /// uniform rescale of an already-uniform state, the update is an
-    /// exact O(n) per-lane rescale of the cached columns instead
-    /// (scaling by 2^k commutes with FP rounding, so the result is
-    /// still bit-identical to a from-scratch pass).
+    /// Advances every active lane to its base transformed by its delta
+    /// and recomputes arrivals for the whole batch in one topological
+    /// pass.  Precondition (checked by asserts in debug builds): every
+    /// non-null lane scales the same gates, in strictly ascending id
+    /// order — the shape DeviceDegradation always produces (every
+    /// combinational gate).  An empty scale list (extras only, or
+    /// "revert to base") satisfies it when all lanes' lists are empty.
+    /// Extras may differ per lane.
     void update(const BatchDelayDelta& batch);
 
     /// Latest arrival of `gate` in `lane` after the last update().
     [[nodiscard]] Time max_arrival(GateId gate, std::size_t lane) const {
         return arr_max_[static_cast<std::size_t>(gate) * kBatchWidth + lane];
-    }
-    /// Only meaningful when constructed with track_min = true.
-    [[nodiscard]] Time min_arrival(GateId gate, std::size_t lane) const {
-        assert(track_min_);
-        return arr_min_[static_cast<std::size_t>(gate) * kBatchWidth + lane];
     }
     /// Raw column storage, indexed [gate * width() + lane] — the
     /// evaluation loops of the batch rollout read rows of this.
@@ -157,52 +135,28 @@ public:
     [[nodiscard]] Time critical_path_length(std::size_t lane) const {
         return cpl_[lane];
     }
-    [[nodiscard]] Time clock_period(std::size_t lane) const {
-        return clock_[lane];
-    }
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
-    [[nodiscard]] double clock_margin() const { return margin_; }
     [[nodiscard]] const Stats& stats() const { return stats_; }
 
 private:
     void apply(const BatchDelayDelta& batch);
-    void finish_apply(const BatchDelayDelta& batch);
     void forward();
-    template <bool TrackMin>
-    void forward_impl();
-    void rescale(const BatchDelayDelta& batch);
-    void refresh_clock();
+    void refresh_critical_path();
     void poll_cancel();
 
     const Netlist* netlist_;
-    double margin_;
-    bool track_min_;
 
-    /// Shared flattened traversal structure (one copy per netlist,
-    /// amortized over every lane and every year).
-    std::vector<std::uint32_t> offset_;
-    std::vector<GateId> topo_;
-    std::vector<std::uint8_t> is_source_;
-    std::vector<GateId> fanin_flat_;
-
-    /// Shared base arc delays (max/min over rise/fall), one per arc.
-    std::vector<Time> base_max_, base_min_;
-    /// Columnar per-lane state: [arc * kBatchWidth + lane].
-    std::vector<Time> lane_base_max_, lane_base_min_;
-    std::vector<Time> cur_max_, cur_min_;
+    /// Shared base arc delays (max over rise/fall), one per arc.
+    std::vector<Time> base_max_;
+    /// Columnar per-lane arc delays: [arc * kBatchWidth + lane].
+    std::vector<Time> lane_base_max_, cur_max_;
     /// Columnar arrivals: [gate * kBatchWidth + lane].
-    std::vector<Time> arr_max_, arr_min_;
+    std::vector<Time> arr_max_;
     std::array<Time, kBatchWidth> cpl_{};
-    std::array<Time, kBatchWidth> clock_{};
 
     std::array<std::uint8_t, kBatchWidth> active_{};
-    /// Uniform factor of the lane's current state when that state is a
-    /// pure uniform transform of the lane base; NaN once per-gate
-    /// scales or extras made it general (disables the rescale tier).
-    std::array<double, kBatchWidth> lane_uniform_{};
 
-    bool has_result_ = false;
     Stats stats_;
     std::size_t poll_counter_ = 0;
 };

@@ -23,30 +23,14 @@ StaEngine::StaEngine(const Netlist& netlist, const DelayAnnotation& base,
     : netlist_(&netlist), margin_(clock_margin), scope_(scope) {
     assert(netlist.finalized());
     assert(base.num_gates() == netlist.size());
-    const std::size_t n = netlist.size();
-    offset_.resize(n + 1);
-    std::uint32_t cursor = 0;
-    for (GateId id = 0; id < n; ++id) {
-        offset_[id] = cursor;
-        cursor += static_cast<std::uint32_t>(netlist.gate(id).fanin.size());
-    }
-    offset_[n] = cursor;
-    arc_max_.resize(cursor);
-    arc_min_.resize(cursor);
-    const auto order = netlist.topo_order();
-    topo_.assign(order.begin(), order.end());
-    is_source_.resize(n);
-    fanin_flat_.resize(cursor);
-    for (GateId id = 0; id < n; ++id) {
-        const Gate& g = netlist.gate(id);
-        is_source_[id] =
-            g.type == CellType::Input || g.type == CellType::Dff ? 1 : 0;
-        const std::uint32_t start = offset_[id];
-        for (std::uint32_t pin = 0; pin < g.fanin.size(); ++pin) {
-            fanin_flat_[start + pin] = g.fanin[pin];
-            const PinDelay d = base.arc(id, pin);
-            arc_max_[start + pin] = std::max(d.rise, d.fall);
-            arc_min_[start + pin] = std::min(d.rise, d.fall);
+    const auto offset = netlist.arc_offsets();
+    arc_max_.resize(netlist.arc_drivers().size());
+    arc_min_.resize(netlist.arc_drivers().size());
+    for (GateId id = 0; id < netlist.size(); ++id) {
+        for (std::uint32_t i = offset[id]; i < offset[id + 1]; ++i) {
+            const PinDelay d = base.arc(id, i - offset[id]);
+            arc_max_[i] = std::max(d.rise, d.fall);
+            arc_min_[i] = std::min(d.rise, d.fall);
         }
     }
 }
@@ -55,10 +39,6 @@ StaEngine::StaEngine(StaEngine&& other) noexcept
     : netlist_(std::exchange(other.netlist_, nullptr)),
       margin_(other.margin_),
       scope_(other.scope_),
-      offset_(std::move(other.offset_)),
-      topo_(std::move(other.topo_)),
-      is_source_(std::move(other.is_source_)),
-      fanin_flat_(std::move(other.fanin_flat_)),
       arc_max_(std::move(other.arc_max_)),
       arc_min_(std::move(other.arc_min_)),
       result_(std::move(other.result_)),
@@ -70,10 +50,6 @@ StaEngine& StaEngine::operator=(StaEngine&& other) noexcept {
     netlist_ = std::exchange(other.netlist_, nullptr);
     margin_ = other.margin_;
     scope_ = other.scope_;
-    offset_ = std::move(other.offset_);
-    topo_ = std::move(other.topo_);
-    is_source_ = std::move(other.is_source_);
-    fanin_flat_ = std::move(other.fanin_flat_);
     arc_max_ = std::move(other.arc_max_);
     arc_min_ = std::move(other.arc_min_);
     result_ = std::move(other.result_);
@@ -97,22 +73,24 @@ void StaEngine::forward() {
     Time* const arr_min = result_.min_arrival.data();
     const Time* const dly_max = arc_max_.data();
     const Time* const dly_min = arc_min_.data();
-    const GateId* const fanin = fanin_flat_.data();
-    const std::uint32_t* const offset = offset_.data();
+    const GateId* const fanin = netlist_->arc_drivers().data();
+    const std::uint32_t* const offset = netlist_->arc_offsets().data();
+    const auto order = netlist_->topo_order();
     // Cancellation poll batched per pass (the tight loop stays pure);
     // the amortized cadence matches the per-node stride.
-    poll_counter_ += topo_.size();
+    poll_counter_ += order.size();
     if (poll_counter_ >= kCancelStride) {
         poll_counter_ = 0;
         CancelToken::global().throw_if_cancelled();
     }
-    for (const GateId id : topo_) {
-        if (is_source_[id]) {
-            // Launch edge: sources switch at t = 0.
-            arr_max[id] = 0.0;
-            arr_min[id] = 0.0;
-            continue;
-        }
+    // Launch edge: the sources (the topo-order prefix) switch at t = 0.
+    const std::size_t num_sources = netlist_->comb_sources().size();
+    for (std::size_t k = 0; k < num_sources; ++k) {
+        arr_max[order[k]] = 0.0;
+        arr_min[order[k]] = 0.0;
+    }
+    for (std::size_t k = num_sources; k < order.size(); ++k) {
+        const GateId id = order[k];
         Time amax = 0.0;
         Time amin = std::numeric_limits<Time>::max();
         const std::uint32_t start = offset[id];
@@ -146,7 +124,7 @@ void StaEngine::backward() {
             }
             // Which pin of `out` does `id` drive?  (A gate may appear on
             // several pins; take the slowest arc.)
-            const std::uint32_t start = offset_[out];
+            const std::uint32_t start = netlist_->arc_offsets()[out];
             for (std::uint32_t pin = 0; pin < og.fanin.size(); ++pin) {
                 if (og.fanin[pin] != id) continue;
                 best = std::max(best,

@@ -1,13 +1,14 @@
 // Static timing analysis over one delay annotation.
 //
-// StaEngine flattens the netlist's traversal structure (topo order,
-// arc-aligned fanin ids, per-gate arc offsets) and the annotation's
-// per-arc max/min delays once at construction, then analyze() runs the
-// from-scratch forward (and, for Scope::Full, backward) pass into
-// result arenas it owns.  To time a perturbed annotation (an aged
-// device, a grown defect), transform the base with a DelayDelta and
-// build an engine over the result; the lifetime campaign's many-device
-// hot path is the batched BatchStaEngine, not this class.
+// StaEngine copies the annotation's per-arc max/min delays once at
+// construction, indexed by the netlist's flat arc layout
+// (Netlist::arc_offsets / arc_drivers), then analyze() walks
+// Netlist::topo_order() for the from-scratch forward (and, for
+// Scope::Full, backward) pass into result arenas it owns.  To time a
+// perturbed annotation (an aged device, a grown defect), transform the
+// base with a DelayDelta and build an engine over the result; the
+// lifetime campaign's many-device hot path is the batched
+// BatchStaEngine, not this class.
 #pragma once
 
 #include <cstdint>
@@ -71,16 +72,8 @@ private:
     double margin_;
     Scope scope_;
 
-    /// Flattened arc layout (same shape as DelayAnnotation): per-gate
-    /// start offset into the arc arrays.
-    std::vector<std::uint32_t> offset_;
-    /// Flattened traversal structure (the forward pass is a hot loop;
-    /// per-gate vector indirection through Netlist costs more than the
-    /// arithmetic):
-    std::vector<GateId> topo_;             ///< topological order copy
-    std::vector<std::uint8_t> is_source_;  ///< Input or Dff (arrival 0)
-    std::vector<GateId> fanin_flat_;       ///< arc-aligned driver ids
-    std::vector<Time> arc_max_, arc_min_;  ///< per arc: max/min(rise, fall)
+    /// Per arc of the netlist's flat layout: max/min(rise, fall).
+    std::vector<Time> arc_max_, arc_min_;
 
     StaResult result_;
     bool valid_ = false;

@@ -462,51 +462,70 @@ TEST(Campaign, MatchesReferenceRollout) {
     expect_matches_reference(s9234, small, "s9234 server_247");
 }
 
-TEST(CampaignCli, RejectsMalformedBatchWidthAndRemovedFlags) {
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("fastmon_campaign_cli_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    const std::string log = (dir / "cli.txt").string();
-    const std::string out = (dir / "report.json").string();
-    SpawnOptions options;
-    options.output_path = log;
-    const auto run = [&](std::vector<std::string> extra) {
+/// Runs fastmon_campaign on demo_pipeline (16 devices, --quiet) with
+/// extra arguments in a private temp directory; the child's output
+/// goes to a log the test can read back.
+class CampaignCliRun {
+public:
+    explicit CampaignCliRun(const std::string& tag)
+        : dir_(std::filesystem::temp_directory_path() /
+               ("fastmon_campaign_cli_" + tag + "_" +
+                std::to_string(::getpid()))),
+          log_((dir_ / "cli.txt").string()),
+          out_((dir_ / "report.json").string()) {
+        std::filesystem::create_directories(dir_);
+    }
+    ~CampaignCliRun() { std::filesystem::remove_all(dir_); }
+
+    /// Exit code of one run (-1 if it could not be spawned).
+    int operator()(const std::vector<std::string>& extra) const {
         std::vector<std::string> argv{FASTMON_CAMPAIGN_BIN, "--circuit",
                                       FASTMON_DEMO_PIPELINE, "--population",
-                                      "16", "--quiet", "--out", out};
+                                      "16", "--quiet", "--out", out_};
         argv.insert(argv.end(), extra.begin(), extra.end());
-        std::filesystem::remove(log);  // the child appends to it
+        std::filesystem::remove(log_);  // the child appends to it
+        SpawnOptions options;
+        options.output_path = log_;
         auto child = Subprocess::spawn(argv, options);
         EXPECT_TRUE(child.has_value());
         return child ? child->exit_code() : -1;
-    };
-    const auto log_text = [&] {
-        std::ifstream in(log);
+    }
+    [[nodiscard]] std::string log_text() const { return read(log_); }
+    [[nodiscard]] std::string report_text() const { return read(out_); }
+
+private:
+    static std::string read(const std::string& path) {
+        std::ifstream in(path);
         return std::string{std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>()};
-    };
+    }
+
+    std::filesystem::path dir_;
+    std::string log_;
+    std::string out_;
+};
+
+TEST(CampaignCli, RejectsMalformedBatchWidthAndRemovedFlags) {
+    const CampaignCliRun run("width");
     // A sign or a non-number is a usage error, not a silently clamped
     // or "auto" width.
     for (const char* bad : {"-3", "abc", "4x", "+2", ""}) {
         EXPECT_EQ(run({"--batch-width", bad}), 2) << "'" << bad << "'";
-        EXPECT_NE(log_text().find("--batch-width"), std::string::npos)
-            << log_text();
+        EXPECT_NE(run.log_text().find("--batch-width"), std::string::npos)
+            << run.log_text();
     }
     // The retired from-scratch STA mode is an unknown option now.
     EXPECT_EQ(run({"--full-sta"}), 2);
-    EXPECT_NE(log_text().find("unknown option --full-sta"),
+    EXPECT_NE(run.log_text().find("unknown option --full-sta"),
               std::string::npos)
-        << log_text();
+        << run.log_text();
     // Valid widths still run, and the run block records the resolved
     // width (larger values clamp to the compiled one).
     for (const char* width : {"0", "1", "64"}) {
         ASSERT_EQ(run({"--batch-width", width}), 0) << width;
-        std::ifstream in(out);
-        const std::string text{std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()};
         JsonParseError err;
-        const std::optional<Json> report = Json::parse(text, err);
+        const std::optional<Json> report =
+            Json::parse(run.report_text(), err);
         ASSERT_TRUE(report.has_value()) << err.message;
         const std::size_t want =
             std::string(width) == "1" ? 1 : kBatchWidth;
@@ -514,7 +533,37 @@ TEST(CampaignCli, RejectsMalformedBatchWidthAndRemovedFlags) {
                   static_cast<double>(want))
             << width;
     }
-    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignCli, RejectsMalformedNumericFlags) {
+    const CampaignCliRun run("numeric");
+    // Every real-valued flag takes a whole finite token in its range;
+    // garbage must not degrade to 0 and run an empty campaign.
+    const std::vector<std::pair<const char*, const char*>> bad{
+        {"--step", "0"},           {"--step", "abc"},
+        {"--step", "-0.25"},       {"--horizon", "-5"},
+        {"--horizon", "0"},        {"--horizon", "15y"},
+        {"--clock-margin", "abc"}, {"--clock-margin", "0"},
+        {"--scale", "0"},          {"--scale", "nan"},
+        {"--defect-rate", "1.5"},  {"--defect-rate", "-0.1"},
+        {"--variation", "-0.05"},  {"--variation", "inf"},
+        {"--screen", "-1"},        {"--screen", ""},
+        {"--early-fail", "x3"},    {"--early-fail", " 3"},
+    };
+    for (const auto& [flag, value] : bad) {
+        EXPECT_EQ(run({flag, value}), 2) << flag << " '" << value << "'";
+        EXPECT_NE(run.log_text().find(std::string("error: ") + flag),
+                  std::string::npos)
+            << run.log_text();
+    }
+    // Boundary values inside the ranges still run.
+    EXPECT_EQ(run({"--defect-rate", "0", "--variation", "0", "--screen",
+                   "0", "--early-fail", "0", "--step", "0.5",
+                   "--horizon", "2", "--clock-margin", "1.6"}),
+              0)
+        << run.log_text();
+    EXPECT_EQ(run({"--defect-rate", "1", "--horizon", "1e1"}), 0)
+        << run.log_text();
 }
 
 }  // namespace

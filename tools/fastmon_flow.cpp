@@ -150,6 +150,7 @@ int main(int argc, char** argv) {
         std::cout << "flow status: "
                   << (result.status.complete() ? "complete" : "degraded")
                   << "\n";
+        std::cout << "schedule: " << schedule_label(result) << "\n";
 
         if (!manifest_path.empty()) {
             std::ofstream os(manifest_path);
