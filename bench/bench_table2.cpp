@@ -14,6 +14,11 @@ int main() {
     const std::vector<HdfFlowResult> rows =
         bench::run_all_profiles(settings);
     print_table2(std::cout, rows);
+    // A budget-exhausted set cover is "not proven optimal", with its
+    // uncovered target count.
+    for (const HdfFlowResult& r : rows) {
+        std::cout << r.circuit << " schedule: " << schedule_label(r) << "\n";
+    }
     std::cout << "\nShape checks (paper: ILP frequencies <= heuristic"
                  " frequencies; large test-time reductions):\n";
     bool ok = true;

@@ -12,6 +12,11 @@ int main() {
     const std::vector<HdfFlowResult> rows =
         bench::run_all_profiles(settings);
     print_table3(std::cout, rows);
+    // A budget-exhausted set cover is "not proven optimal", with its
+    // uncovered target count.
+    for (const HdfFlowResult& r : rows) {
+        std::cout << r.circuit << " schedule: " << schedule_label(r) << "\n";
+    }
     std::cout << "\nShape checks (paper: lower coverage targets need at"
                  " most as many frequencies / schedule entries):\n";
     bool ok = true;

@@ -23,7 +23,6 @@
 
 #include "campaign/campaign.hpp"
 #include "monitor/aging.hpp"
-#include "monitor/policy.hpp"
 #include "netlist/iscas_data.hpp"
 #include "timing/delay_model.hpp"
 #include "timing/sta_engine.hpp"
@@ -152,42 +151,7 @@ int main() {
     std::cout << "The marginal device walks the same alert ladder years\n"
                  "earlier — the early-life signature the paper's FAST reuse\n"
                  "of these monitors exposes already at manufacturing test,\n"
-                 "and that the campaign aggregate quantifies fleet-wide.\n\n";
+                 "and that the campaign aggregate quantifies fleet-wide.\n";
 
-    // --- Closed-loop operation: the Fig. 2 procedure as a policy -----
-    // Start wide, alert -> countermeasure (frequency/voltage scaling
-    // halves the further aging rate) -> reconfigure narrower; the
-    // narrowest band's alert flags imminent failure.
-    std::cout << "--- adaptive policy (alert -> countermeasure ->"
-                 " narrower guard band) ---\n";
-    LifetimeSimulator managed(netlist, nominal, sta.clock_period,
-                              config.model.aging.nominal, 1);
-    PolicyConfig policy;
-    policy.countermeasure_rate_scale = 0.5;
-    policy.horizon_years = 25.0;
-    const PolicyRun run = run_adaptive_policy(managed, placement, policy);
-    for (const PolicyEvent& e : run.events) {
-        std::printf("  %6.2f y  %-16s (guard band %.0f ps)\n", e.years,
-                    to_string(e.kind).c_str(),
-                    placement.config_delays[e.config]);
-    }
-    if (run.predicted_failure_years >= 0.0) {
-        std::printf("  RUL prediction at first alert: failure near %.1f y\n",
-                    run.predicted_failure_years);
-    }
-    PolicyConfig unmanaged = policy;
-    unmanaged.countermeasure_rate_scale = 1.0;
-    const PolicyRun baseline =
-        run_adaptive_policy(managed, placement, unmanaged);
-    if (run.failed() && baseline.failed()) {
-        std::printf(
-            "  lifetime: %.2f y unmanaged -> %.2f y with countermeasures\n",
-            baseline.failure_years, run.failure_years);
-    } else if (baseline.failed()) {
-        std::printf(
-            "  lifetime: %.2f y unmanaged -> survives the %.0f y horizon"
-            " with countermeasures\n",
-            baseline.failure_years, policy.horizon_years);
-    }
     return 0;
 }

@@ -5,14 +5,13 @@
 // This example sweeps the configuration set on one circuit — from a
 // single fixed delay element (the prior art of [14]) to the paper's
 // four-element programmable monitor — and reports, per configuration
-// set, the detectable-fault count, the required FAST frequencies and
-// the hardware cost of the monitors.  The detection ranges are computed
-// once; each configuration set is evaluated by pure range shifting.
+// set, the detectable-fault count and the required FAST frequencies.
+// The detection ranges are computed once; each configuration set is
+// evaluated by pure range shifting.
 #include <cstdio>
 #include <iostream>
 
 #include "flow/hdf_flow.hpp"
-#include "monitor/overhead.hpp"
 #include "netlist/generator.hpp"
 
 int main() {
@@ -53,8 +52,8 @@ int main() {
           7.0 / 24, 8.0 / 24}},
     };
 
-    std::printf("%-28s %10s %10s %8s %10s\n", "configuration set", "detected",
-                "targets", "|F|", "area ovh");
+    std::printf("%-28s %10s %10s %8s\n", "configuration set", "detected",
+                "targets", "|F|");
     for (const ConfigSet& cs : sweeps) {
         std::vector<Time> delays{0.0};
         for (double f : cs.fractions) delays.push_back(f * clk);
@@ -74,23 +73,14 @@ int main() {
         const FrequencySelection sel =
             select_frequencies(target_ranges, fopts);
 
-        MonitorPlacement placement = flow.placement();
-        placement.config_delays = delays;
-        if (cs.fractions.empty()) {
-            placement.monitor_observes.clear();
-            placement.monitored.assign(placement.monitored.size(), false);
-        }
-        const OverheadReport ovh = estimate_overhead(netlist, placement);
-
-        std::printf("%-28s %10zu %10zu %8zu %9.2f%%\n", cs.name, detected,
-                    target_ranges.size(), sel.periods.size(),
-                    100.0 * ovh.area_overhead);
+        std::printf("%-28s %10zu %10zu %8zu\n", cs.name, detected,
+                    target_ranges.size(), sel.periods.size());
     }
     std::cout
         << "\nThe first delay element buys the coverage jump (it shifts\n"
            "short-path fault effects into the FAST window); additional\n"
-           "elements trade a modest area increment for scheduling freedom\n"
-           "and at-speed monitor detection (smaller target sets) — the\n"
-           "paper's case for reusing *programmable* monitors in FAST.\n";
+           "elements buy scheduling freedom and at-speed monitor\n"
+           "detection (smaller target sets) — the paper's case for\n"
+           "reusing *programmable* monitors in FAST.\n";
     return 0;
 }

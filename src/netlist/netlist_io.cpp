@@ -7,15 +7,6 @@
 
 namespace fastmon {
 
-std::string_view netlist_format_name(NetlistFormat format) {
-    switch (format) {
-        case NetlistFormat::Bench: return "bench";
-        case NetlistFormat::Verilog: return "verilog";
-        case NetlistFormat::Aiger: return "aiger";
-    }
-    return "?";
-}
-
 std::optional<NetlistFormat> netlist_format_from_path(std::string_view path) {
     const auto dot = path.find_last_of('.');
     if (dot == std::string_view::npos) return std::nullopt;

@@ -25,8 +25,6 @@ enum class NetlistFormat : std::uint8_t {
     Aiger,    ///< AIGER .aag/.aig (ASCII vs binary detected from header)
 };
 
-std::string_view netlist_format_name(NetlistFormat format);
-
 /// Format implied by a path's extension, or nullopt if unrecognized.
 std::optional<NetlistFormat> netlist_format_from_path(std::string_view path);
 

@@ -1,7 +1,6 @@
 #include "schedule/validate.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -32,24 +31,6 @@ ScheduleValidation validate_schedule(
     std::sort(v.uncovered_faults.begin(), v.uncovered_faults.end());
     v.valid = v.uncovered_faults.empty();
     return v;
-}
-
-void write_schedule_csv(std::ostream& os, const TestSchedule& schedule) {
-    os << "period_ps,frequency_index,pattern,config\n";
-    std::vector<ScheduleEntry> ordered(schedule.entries.begin(),
-                                       schedule.entries.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [&schedule](const ScheduleEntry& a, const ScheduleEntry& b) {
-                  const Time ta = schedule.periods[a.period_index];
-                  const Time tb = schedule.periods[b.period_index];
-                  if (ta != tb) return ta < tb;
-                  if (a.pattern != b.pattern) return a.pattern < b.pattern;
-                  return a.config < b.config;
-              });
-    for (const ScheduleEntry& e : ordered) {
-        os << schedule.periods[e.period_index] << ',' << e.period_index << ','
-           << e.pattern << ',' << e.config << '\n';
-    }
 }
 
 }  // namespace fastmon

@@ -1,14 +1,11 @@
-// Schedule validation and ATE-handoff export.
+// Schedule validation.
 //
 // A schedule is only as good as its coverage proof: validate_schedule
 // re-checks, against the pass-B detection table, that every target
 // fault is detected by at least one selected (frequency, pattern,
-// configuration) application.  write_schedule_csv emits the schedule in
-// a tester-friendly order (grouped by frequency — one PLL relock per
-// group, configurations loaded during scan shift-in).
+// configuration) application.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 
 #include "fault/detection_range.hpp"
@@ -28,9 +25,5 @@ struct ScheduleValidation {
 ScheduleValidation validate_schedule(const TestSchedule& schedule,
                                      std::span<const DetectionEntry> entries,
                                      std::span<const std::uint32_t> target_faults);
-
-/// CSV columns: period_ps, frequency_rel_index, pattern, config.
-/// Entries are grouped by period (ascending), then pattern.
-void write_schedule_csv(std::ostream& os, const TestSchedule& schedule);
 
 }  // namespace fastmon

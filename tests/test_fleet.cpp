@@ -11,6 +11,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "campaign/shard.hpp"
 #include "netlist/iscas_data.hpp"
 #include "util/fault_inject.hpp"
+#include "util/subprocess.hpp"
 
 namespace fastmon {
 namespace {
@@ -440,6 +443,64 @@ TEST(FleetPaths, AreRootedAndDistinct) {
     EXPECT_EQ(shard_heartbeat_path("/r", 2),
               "/r/shards/shard-2.heartbeat.json");
     EXPECT_NE(shard_log_path("/r", 2, 1), shard_log_path("/r", 2, 2));
+}
+
+TEST(FleetCli, RejectsMalformedNumericFlags) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("fastmon_fleet_cli_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string log = (dir / "cli.txt").string();
+    const std::filesystem::path root = dir / "fleet";
+    // fastmon_fleet over a 16-device demo_pipeline campaign with extra
+    // supervisor arguments; the child's output goes to `log`.
+    const auto run = [&](const std::vector<std::string>& extra) {
+        std::vector<std::string> argv{FASTMON_FLEET_BIN, "--root",
+                                      root.string(), "--campaign-bin",
+                                      FASTMON_CAMPAIGN_BIN};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        for (const char* arg : {"--", "--circuit", FASTMON_DEMO_PIPELINE,
+                                "--population", "16", "--quiet"}) {
+            argv.emplace_back(arg);
+        }
+        std::filesystem::remove(log);  // the child appends to it
+        SpawnOptions options;
+        options.output_path = log;
+        auto child = Subprocess::spawn(argv, options);
+        EXPECT_TRUE(child.has_value());
+        return child ? child->exit_code() : -1;
+    };
+    const auto log_text = [&] {
+        std::ifstream in(log);
+        return std::string{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    };
+    // Only invalid tokens, none of them a large count: parsing rejects
+    // each before the queue exists or any shard starts.
+    const std::vector<std::pair<const char*, const char*>> bad{
+        {"--stall-timeout", "abc"}, {"--stall-timeout", "0"},
+        {"--stall-timeout", "-1"},  {"--backoff", "-0.5"},
+        {"--backoff", "x"},         {"--shards", "0"},
+        {"--shards", "2x"},         {"--shards", "abc"},
+        {"--max-attempts", "0"},    {"--max-attempts", "1.5"},
+        {"--max-parallel", "0"},    {"--max-parallel", "-1"},
+        {"--inject-shard", "-1"},   {"--inject-shard", "one"},
+    };
+    for (const auto& [flag, value] : bad) {
+        // ASSERT: a flag that is not rejected runs the whole fleet.
+        ASSERT_EQ(run({flag, value}), 2) << flag << " '" << value << "'";
+        EXPECT_NE(log_text().find(std::string("error: ") + flag),
+                  std::string::npos)
+            << log_text();
+        EXPECT_FALSE(std::filesystem::exists(root)) << flag;
+    }
+    // Boundary values inside the ranges still run.
+    EXPECT_EQ(run({"--shards", "1", "--max-parallel", "1", "--max-attempts",
+                   "1", "--backoff", "0", "--inject-shard", "0"}),
+              0)
+        << log_text();
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 #include "flow/hdf_flow.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "flow/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "util/subprocess.hpp"
 
 namespace fastmon {
 namespace {
@@ -279,6 +284,59 @@ TEST(Report, TablesRenderWithoutCrashing) {
     EXPECT_NE(out.find("pairs_total"), std::string::npos);
     EXPECT_NE(out.find("fault_sim_pass_a"), std::string::npos);
     EXPECT_NE(out.find("total (wall)"), std::string::npos);
+}
+
+TEST(FlowCli, RejectsMalformedNumericFlags) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("fastmon_flow_cli_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string log = (dir / "cli.txt").string();
+    // fastmon_flow on mini_alu.aag with extra arguments; the child's
+    // stdout and stderr go to `log`.
+    const auto run = [&](const std::vector<std::string>& extra) {
+        std::vector<std::string> argv{FASTMON_FLOW_BIN, "--circuit",
+                                      FASTMON_MINI_ALU, "--quiet"};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        std::filesystem::remove(log);  // the child appends to it
+        SpawnOptions options;
+        options.output_path = log;
+        auto child = Subprocess::spawn(argv, options);
+        EXPECT_TRUE(child.has_value());
+        return child ? child->exit_code() : -1;
+    };
+    const auto log_text = [&] {
+        std::ifstream in(log);
+        return std::string{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    };
+    // Garbage must not degrade to 0 (an all-zero "complete" run) or
+    // wrap around to a huge unsigned value.
+    const std::vector<std::pair<const char*, const char*>> bad{
+        {"--fmax", "abc"},          {"--fmax", "0.5"},
+        {"--fmax", "3x"},           {"--fmax", ""},
+        {"--seed", "abc"},          {"--seed", "-1"},
+        {"--seed", "1.5"},          {"--monitor-fraction", "2"},
+        {"--monitor-fraction", "-0.1"}, {"--variation", "-0.5"},
+        {"--variation", "nan"},     {"--podem-backtracks", "-5"},
+        {"--sat-budget", "1e3"},    {"--sat-restart", " 8"},
+        {"--max-faults", "+3"},
+    };
+    for (const auto& [flag, value] : bad) {
+        // ASSERT: a flag that is not rejected runs the whole flow.
+        ASSERT_EQ(run({flag, value}), 1) << flag << " '" << value << "'";
+        EXPECT_NE(log_text().find(std::string("error: ") + flag),
+                  std::string::npos)
+            << log_text();
+    }
+    // Boundary values inside the ranges still run.
+    EXPECT_EQ(run({"--fmax", "1", "--monitor-fraction", "0"}), 0)
+        << log_text();
+    EXPECT_EQ(run({"--monitor-fraction", "1", "--variation", "0",
+                   "--seed", "0", "--max-faults", "0"}),
+              0)
+        << log_text();
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -13,8 +13,6 @@
 // campaign at the next device boundary, snapshot the checkpoint, and
 // still emit an honest partial report (exit status stays 0, as with
 // the benches).
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +28,8 @@
 #include "util/cancel.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+
+#include "cli_parse.hpp"
 
 namespace {
 
@@ -126,33 +126,9 @@ bool parse_shard_spec(const char* text, fastmon::CampaignConfig& config) {
     return true;
 }
 
-/// Accepted range of a real-valued flag.
-enum class Range { Positive, NonNegative, Fraction };
-
-/// Parses a real-valued flag strictly: the whole token must be a
-/// finite number within `range` (> 0, >= 0, or [0, 1]); anything else
-/// is a usage error, never a silent 0.
-bool parse_real(const char* flag, const char* text, Range range,
-                double& out) {
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    const bool number = *text != '\0' &&
-                        !std::isspace(static_cast<unsigned char>(*text)) &&
-                        *end == '\0' && std::isfinite(v);
-    const bool in_range = range == Range::Positive      ? v > 0.0
-                          : range == Range::NonNegative ? v >= 0.0
-                                                        : v >= 0.0 && v <= 1.0;
-    if (!number || !in_range) {
-        const char* want = range == Range::Positive      ? "a number > 0"
-                           : range == Range::NonNegative ? "a number >= 0"
-                                                         : "a number in [0, 1]";
-        std::cerr << "error: " << flag << " expects " << want << " (got '"
-                  << text << "')\n";
-        return false;
-    }
-    out = v;
-    return true;
-}
+using fastmon::cli::parse_real;
+using fastmon::cli::parse_uint;
+using fastmon::cli::Range;
 
 bool parse_args(int argc, char** argv, CliOptions& opt) {
     using std::strcmp;
@@ -262,18 +238,12 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
                 return false;
             }
         } else if (strcmp(arg, "--batch-width") == 0) {
-            if (!(v = need_value(i))) return false;
             // Digits only: a sign or a non-number is a usage error,
             // never a silently clamped or "auto" width.
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(*v)) ||
-                *end != '\0') {
-                std::cerr << "error: --batch-width expects a non-negative "
-                             "integer (got '" << v << "')\n";
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0, opt.config.batch_width)) {
                 return false;
             }
-            opt.config.batch_width = static_cast<std::size_t>(n);
         } else if (strcmp(arg, "--threads") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.num_threads = static_cast<std::size_t>(std::atoll(v));

@@ -12,7 +12,8 @@
 //
 // Exit 0 with an honest status block covers every recovered-or-
 // quarantined outcome; exit 1 means not a single shard produced a
-// mergeable artifact.
+// mergeable artifact; exit 2 is a usage error (unknown option, missing
+// --root, malformed or out-of-range numeric value).
 //
 //   fastmon_fleet --root /tmp/fleet --shards 4 --
 //       --circuit s9234.bench --population 400 --seed 7 --quiet
@@ -20,7 +21,6 @@
 // `--circuit` accepts any read_netlist format (.bench/.v/.aag/.aig);
 // the shard subprocesses load it through the same front end.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -30,7 +30,13 @@
 #include "campaign/shard.hpp"
 #include "util/atomic_file.hpp"
 
+#include "cli_parse.hpp"
+
 namespace {
+
+using fastmon::cli::parse_real;
+using fastmon::cli::parse_uint;
+using fastmon::cli::Range;
 
 void print_usage() {
     std::cout <<
@@ -106,8 +112,9 @@ int main(int argc, char** argv) {
             config.root = v;
         } else if (std::strcmp(arg, "--shards") == 0) {
             if (!(v = need_value())) return 2;
-            config.shard_count =
-                static_cast<std::uint32_t>(std::atoll(v));
+            if (!parse_uint<std::uint32_t>(arg, v, 1, config.shard_count)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--campaign-bin") == 0) {
             if (!(v = need_value())) return 2;
             campaign_bin = v;
@@ -116,23 +123,34 @@ int main(int argc, char** argv) {
             out_path = v;
         } else if (std::strcmp(arg, "--max-attempts") == 0) {
             if (!(v = need_value())) return 2;
-            config.max_attempts =
-                static_cast<std::uint32_t>(std::atoll(v));
+            if (!parse_uint<std::uint32_t>(arg, v, 1, config.max_attempts)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--max-parallel") == 0) {
             if (!(v = need_value())) return 2;
-            config.max_parallel = static_cast<std::size_t>(std::atoll(v));
+            if (!parse_uint<std::size_t>(arg, v, 1, config.max_parallel)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--stall-timeout") == 0) {
             if (!(v = need_value())) return 2;
-            config.stall_timeout_seconds = std::atof(v);
+            if (!parse_real(arg, v, Range::Positive,
+                            config.stall_timeout_seconds)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--backoff") == 0) {
             if (!(v = need_value())) return 2;
-            config.backoff_initial_seconds = std::atof(v);
+            if (!parse_real(arg, v, Range::NonNegative,
+                            config.backoff_initial_seconds)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--inject") == 0) {
             if (!(v = need_value())) return 2;
             inject_spec = v;
         } else if (std::strcmp(arg, "--inject-shard") == 0) {
             if (!(v = need_value())) return 2;
-            inject_shard = static_cast<std::uint32_t>(std::atoll(v));
+            if (!parse_uint<std::uint32_t>(arg, v, 0, inject_shard)) {
+                return 2;
+            }
         } else {
             std::cerr << "error: unknown option " << arg
                       << " (--help for usage)\n";
@@ -143,12 +161,6 @@ int main(int argc, char** argv) {
 
     if (config.root.empty()) {
         std::cerr << "error: --root is required (--help for usage)\n";
-        return 2;
-    }
-    if (config.shard_count == 0 || config.max_attempts == 0 ||
-        config.max_parallel == 0) {
-        std::cerr << "error: --shards/--max-attempts/--max-parallel must "
-                     "be positive\n";
         return 2;
     }
 

@@ -12,7 +12,8 @@
 //
 // Exit status: 0 on a complete run, 2 on a degraded run under
 // --strict (some non-essential phase failed or was cancelled),
-// 1 on hard errors (unreadable netlist, invalid options).
+// 1 on hard errors (unreadable netlist, invalid options, malformed or
+// out-of-range numeric values).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +27,13 @@
 #include "util/diagnostic.hpp"
 #include "util/log.hpp"
 
+#include "cli_parse.hpp"
+
 namespace {
+
+using fastmon::cli::parse_real;
+using fastmon::cli::parse_uint;
+using fastmon::cli::Range;
 
 void print_usage() {
     std::cout <<
@@ -91,25 +98,44 @@ int main(int argc, char** argv) {
             }
             config.atpg.engine = *kind;
         } else if (std::strcmp(arg, "--podem-backtracks") == 0) {
-            config.atpg.podem_backtrack_limit =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_uint<std::size_t>(arg, value(), 0,
+                                         config.atpg.podem_backtrack_limit)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--sat-budget") == 0) {
-            config.atpg.sat_conflict_budget =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            if (!parse_uint<std::uint64_t>(arg, value(), 0,
+                                           config.atpg.sat_conflict_budget)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--sat-restart") == 0) {
-            config.atpg.sat_restart_period =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_uint<std::size_t>(arg, value(), 0,
+                                         config.atpg.sat_restart_period)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--seed") == 0) {
-            config.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            if (!parse_uint<std::uint64_t>(arg, value(), 0, config.seed)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--fmax") == 0) {
-            config.fmax_factor = std::atof(value());
+            if (!parse_real(arg, value(), Range::AtLeastOne,
+                            config.fmax_factor)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--monitor-fraction") == 0) {
-            config.monitor_fraction = std::atof(value());
+            if (!parse_real(arg, value(), Range::Fraction,
+                            config.monitor_fraction)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--variation") == 0) {
-            config.variation_sigma = std::atof(value());
+            if (!parse_real(arg, value(), Range::NonNegative,
+                            config.variation_sigma)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--max-faults") == 0) {
-            config.max_simulated_faults =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_uint<std::size_t>(arg, value(), 0,
+                                         config.max_simulated_faults)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--manifest") == 0) {
             manifest_path = value();
         } else if (std::strcmp(arg, "--strict") == 0) {
