@@ -1,6 +1,9 @@
 // Bring-your-own-netlist workflow: write/parse an ISCAS-style .bench
 // file, annotate delays, export/import SDF (the interchange format the
 // paper's flow reads), and run the coverage analysis on it.
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -35,10 +38,22 @@ z  = XOR(r0, r1)
 int main() {
     using namespace fastmon;
 
+    // The example's files go to a fresh scratch directory, never the
+    // working directory: the repo root holds tracked fixtures of the
+    // same names.
+    std::string dir_name = (std::filesystem::temp_directory_path() /
+                            "fastmon_custom_bench_XXXXXX")
+                               .string();
+    if (::mkdtemp(dir_name.data()) == nullptr) {
+        std::perror("mkdtemp");
+        return 1;
+    }
+    const std::filesystem::path dir = dir_name;
+
     // 1. Write the .bench file and parse it back.  read_netlist
     //    dispatches on the extension, so the same call also accepts
     //    .v structural Verilog and .aag/.aig AIGER files.
-    const std::string bench_path = "demo_pipeline.bench";
+    const std::string bench_path = (dir / "demo_pipeline.bench").string();
     {
         std::ofstream out(bench_path);
         out << kDemoBench;
@@ -52,7 +67,7 @@ int main() {
     //    paper's fault-size model) and export SDF.
     const DelayAnnotation delays =
         DelayAnnotation::with_variation(netlist, 0.20, 99);
-    const std::string sdf_path = "demo_pipeline.sdf";
+    const std::string sdf_path = (dir / "demo_pipeline.sdf").string();
     {
         std::ofstream out(sdf_path);
         write_sdf(out, netlist, delays);
@@ -78,5 +93,6 @@ int main() {
               << ", with monitors " << r.detected_prop << " of "
               << r.fault_universe << " faults; " << r.freq_prop
               << " FAST frequencies suffice\n";
+    std::filesystem::remove_all(dir);
     return 0;
 }

@@ -313,7 +313,7 @@ struct CoverSearch {
                 pick = e;
             }
         }
-        if (pick == UINT32_MAX) return;  // nothing uncovered but weight? no
+        if (pick == UINT32_MAX) return;
         // Try covering sets, largest static weight first.
         std::vector<std::uint32_t> order = cover_by[pick];
         std::sort(order.begin(), order.end(),
@@ -331,8 +331,7 @@ struct CoverSearch {
 
     /// Partial-cover DFS: include/exclude in static-weight order.
     void dfs_partial(std::size_t idx,
-                     const std::vector<std::uint32_t>& order,
-                     const std::vector<std::uint64_t>& suffix_best) {
+                     const std::vector<std::uint32_t>& order) {
         ++nodes;
         if (out_of_budget()) return;
         if (covered_weight >= target) {
@@ -350,18 +349,17 @@ struct CoverSearch {
             ++need;
         }
         if (acc < remaining || chosen_count + need >= best_count) return;
-        (void)suffix_best;
 
         // Include.
         const std::uint32_t s = order[idx];
         const auto newly = apply(s);
         if (chosen_count < best_count) {
-            dfs_partial(idx + 1, order, suffix_best);
+            dfs_partial(idx + 1, order);
         }
         unapply(s, newly);
         if (exhausted) return;
         // Exclude.
-        dfs_partial(idx + 1, order, suffix_best);
+        dfs_partial(idx + 1, order);
     }
 };
 
@@ -406,7 +404,7 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
                       [&search](std::uint32_t a, std::uint32_t b) {
                           return search.set_weight[a] > search.set_weight[b];
                       });
-            search.dfs_partial(0, order, {});
+            search.dfs_partial(0, order);
         }
     } else {
         search.best_count = 0;
@@ -477,23 +475,6 @@ SetCoverResult solve_set_cover(const SetCoverInstance& instance,
         reg.counter("opt.set_cover.budget_exhausted").add(1);
     }
     return result;
-}
-
-IlpProblem set_cover_to_ilp(const SetCoverInstance& instance) {
-    IlpProblem p;
-    p.num_vars = instance.sets.size();
-    p.objective.assign(p.num_vars, 1.0);
-    std::vector<LpRow> rows(instance.num_elements);
-    for (std::uint32_t s = 0; s < instance.sets.size(); ++s) {
-        for (std::uint32_t e : instance.sets[s]) {
-            rows[e].coeffs.emplace_back(s, 1.0);
-        }
-    }
-    for (LpRow& r : rows) {
-        r.rhs = 1.0;
-        if (!r.coeffs.empty()) p.rows.push_back(std::move(r));
-    }
-    return p;
 }
 
 }  // namespace fastmon

@@ -5,15 +5,14 @@
 //
 // Instances are preprocessed (identical-element merging, essential
 // sets, set dominance) and solved either greedily (the baseline
-// heuristic of [17]) or exactly by the 0-1 branch-and-bound solver
-// within a node/time budget, analogous to the paper's commercial ILP
+// heuristic of [17]) or exactly by a combinatorial branch and bound
+// within a node/time budget, in place of the paper's commercial ILP
 // with a 1 h timeout.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "opt/ilp.hpp"
 
 namespace fastmon {
 
@@ -57,9 +56,5 @@ SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
 /// Falls back to the greedy incumbent when the budget is exhausted.
 SetCoverResult solve_set_cover(const SetCoverInstance& instance,
                                const SetCoverOptions& options = {});
-
-/// Formulates the *full* cover instance as a 0-1 ILP (used for
-/// cross-checking solve_set_cover in tests).
-IlpProblem set_cover_to_ilp(const SetCoverInstance& instance);
 
 }  // namespace fastmon

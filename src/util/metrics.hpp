@@ -3,7 +3,7 @@
 // Absorbs the role the engine-local DetectionCounters played in PR 1
 // and extends it to every phase of the flow: STA, ATPG (backtracks,
 // aborts), monitor shifting, discretization, both ILP set-cover steps
-// (rows/cols, branch-and-bound nodes, LP iterations, gap), and the
+// (elements/columns, branch-and-bound nodes, budget exhaustion), and the
 // thread pool (per-worker busy time, queue depth, steals).  Metric
 // handles are stable references — look them up once, then update
 // lock-free (counters/gauges are atomics; histograms take a short

@@ -549,6 +549,12 @@ TEST(CampaignCli, RejectsMalformedNumericFlags) {
         {"--variation", "-0.05"},  {"--variation", "inf"},
         {"--screen", "-1"},        {"--screen", ""},
         {"--early-fail", "x3"},    {"--early-fail", " 3"},
+        // Integer flags take digits only: no sign, no trailing text.
+        {"--threads", "-1"},       {"--threads", "2x"},
+        {"--seed", "abc"},         {"--seed", "-7"},
+        {"--population", "16x"},   {"--population", "0"},
+        {"--checkpoint-every", "-4"}, {"--checkpoint-every", "1.5"},
+        {"--activity-patterns", "-1"}, {"--activity-patterns", "8k"},
     };
     for (const auto& [flag, value] : bad) {
         EXPECT_EQ(run({flag, value}), 2) << flag << " '" << value << "'";
@@ -563,6 +569,12 @@ TEST(CampaignCli, RejectsMalformedNumericFlags) {
               0)
         << run.log_text();
     EXPECT_EQ(run({"--defect-rate", "1", "--horizon", "1e1"}), 0)
+        << run.log_text();
+    // 0 keeps its documented meaning: the shared pool, Constant
+    // activity.
+    EXPECT_EQ(run({"--threads", "0", "--activity-patterns", "0", "--seed",
+                   "0", "--checkpoint-every", "0"}),
+              0)
         << run.log_text();
 }
 

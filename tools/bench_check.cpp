@@ -27,9 +27,14 @@
 #include "util/file_lock.hpp"
 #include "util/json.hpp"
 
+#include "cli_parse.hpp"
+
 namespace {
 
 using fastmon::Json;
+using fastmon::cli::parse_real;
+using fastmon::cli::parse_uint;
+using fastmon::cli::Range;
 
 constexpr const char* kSchema = "fastmon-bench-history-v1";
 
@@ -197,17 +202,27 @@ bool parse_args(int argc, char** argv, Options& opt) {
             if (!(v = need_value(i))) return false;
             opt.git = v;
         } else if (std::strcmp(arg, "--window") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.window = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0, opt.window)) {
+                return false;
+            }
         } else if (std::strcmp(arg, "--min-history") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.min_history = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0, opt.min_history)) {
+                return false;
+            }
         } else if (std::strcmp(arg, "--tolerance-speedup") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.tolerance_speedup = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Fraction,
+                            opt.tolerance_speedup)) {
+                return false;
+            }
         } else if (std::strcmp(arg, "--tolerance-dps") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.tolerance_dps = std::atof(v);
+            if (!(v = need_value(i)) ||
+                !parse_real(arg, v, Range::Fraction,
+                            opt.tolerance_dps)) {
+                return false;
+            }
         } else {
             std::cerr << "error: unknown option " << arg << "\n";
             return false;

@@ -162,14 +162,16 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             }
             opt.config.wearout.enabled = true;
         } else if (strcmp(arg, "--activity-patterns") == 0) {
-            if (!(v = need_value(i))) return false;
-            const long long n = std::atoll(v);
-            if (n <= 0) {
+            std::size_t n = 0;
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0, n)) {
+                return false;
+            }
+            if (n == 0) {
                 opt.config.wearout.activity.mode =
                     fastmon::ActivityConfig::Mode::Constant;
             } else {
-                opt.config.wearout.activity.num_pattern_pairs =
-                    static_cast<std::size_t>(n);
+                opt.config.wearout.activity.num_pattern_pairs = n;
             }
         } else if (strcmp(arg, "--resume") == 0) {
             opt.config.resume = true;
@@ -192,11 +194,15 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
                 return false;
             }
         } else if (strcmp(arg, "--population") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.population = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 1, opt.config.population)) {
+                return false;
+            }
         } else if (strcmp(arg, "--seed") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.seed = static_cast<std::uint64_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::uint64_t>(arg, v, 0, opt.config.seed)) {
+                return false;
+            }
         } else if (strcmp(arg, "--defect-rate") == 0) {
             if (!(v = need_value(i)) ||
                 !parse_real(arg, v, Range::Fraction,
@@ -245,15 +251,19 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
                 return false;
             }
         } else if (strcmp(arg, "--threads") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.num_threads = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0, opt.config.num_threads)) {
+                return false;
+            }
         } else if (strcmp(arg, "--checkpoint") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.checkpoint_path = v;
         } else if (strcmp(arg, "--checkpoint-every") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.checkpoint_every =
-                static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !parse_uint<std::size_t>(arg, v, 0,
+                                         opt.config.checkpoint_every)) {
+                return false;
+            }
         } else if (strcmp(arg, "--shard") == 0) {
             if (!(v = need_value(i))) return false;
             if (!parse_shard_spec(v, opt.config)) {
@@ -277,10 +287,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
     }
     if (!opt.circuit_path.empty() && !opt.profile.empty()) {
         std::cerr << "error: --circuit and --profile are exclusive\n";
-        return false;
-    }
-    if (opt.config.population == 0) {
-        std::cerr << "error: --population must be positive\n";
         return false;
     }
     return true;
