@@ -137,6 +137,9 @@ std::string serialize_result(const HdfFlowResult& r) {
     os << "clock_period " << r.clock_period << '\n';
     os << "t_min " << r.t_min << '\n';
     os << "atpg_coverage " << r.atpg_coverage << '\n';
+    os << "atpg_efficiency " << r.atpg_efficiency << '\n';
+    os << "atpg_untestable " << r.atpg_untestable << '\n';
+    os << "atpg_aborted " << r.atpg_aborted << '\n';
     for (const CoverageRow& row : r.coverage_rows) {
         os << "coverage_row " << row.coverage << ' ' << row.num_frequencies
            << ' ' << row.naive_pc << ' ' << row.schedule_size << ' '
@@ -214,6 +217,12 @@ bool deserialize_result(const std::string& text, HdfFlowResult& r) {
             is >> r.t_min;
         } else if (key == "atpg_coverage") {
             is >> r.atpg_coverage;
+        } else if (key == "atpg_efficiency") {
+            is >> r.atpg_efficiency;
+        } else if (key == "atpg_untestable") {
+            is >> r.atpg_untestable;
+        } else if (key == "atpg_aborted") {
+            is >> r.atpg_aborted;
         } else if (key == "coverage_row") {
             CoverageRow row;
             is >> row.coverage >> row.num_frequencies >> row.naive_pc >>

@@ -7,6 +7,7 @@
 // engine (serial vs pooled) and writes BENCH_detection.json.
 #include <benchmark/benchmark.h>
 
+#include "atpg/podem.hpp"
 #include "atpg/tdf_atpg.hpp"
 #include "bench_common.hpp"
 #include "fault/detection_range.hpp"
@@ -139,6 +140,28 @@ void BM_Tdf64Batch(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_Tdf64Batch);
+
+/// Per-target PODEM cost on the benchmark-sized s9234 profile: one
+/// generate_test (the v2 search of a deterministic ATPG target) per
+/// iteration, cycling over the circuit's transition faults.
+void BM_PodemTarget(benchmark::State& state) {
+    static const Netlist nl =
+        generate_circuit(profile_config(find_profile("s9234")));
+    const Podem podem(nl);
+    const auto faults = enumerate_tdf_faults(nl);
+    std::size_t fi = 0;
+    std::uint64_t backtracks = 0;
+    for (auto _ : state) {
+        const TdfFault& f = faults[fi % faults.size()];
+        fi += 13;
+        const PodemResult r = podem.generate_test(f.site, !f.slow_rising);
+        backtracks += r.backtracks;
+        benchmark::DoNotOptimize(r);
+    }
+    state.counters["backtracks"] = benchmark::Counter(
+        static_cast<double>(backtracks), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PodemTarget);
 
 void BM_SetCoverGreedy(benchmark::State& state) {
     Prng rng(21);

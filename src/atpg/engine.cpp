@@ -41,6 +41,7 @@ public:
         const bool initial = !fault.slow_rising;  // STR: 0 -> 1
         const PodemResult v2 = podem_.generate_test(fault.site, initial);
         result.effort = v2.backtracks;
+        result.implied_gates = v2.implied_gates;
         if (v2.status == PodemStatus::Untestable) {
             result.verdict = AtpgVerdict::Untestable;
             return result;
@@ -51,6 +52,7 @@ public:
         }
         const PodemResult v1 = podem_.justify(fault.site, initial);
         result.effort += v1.backtracks;
+        result.implied_gates += v1.implied_gates;
         if (v1.status == PodemStatus::Untestable) {
             result.verdict = AtpgVerdict::Untestable;
             return result;
@@ -101,6 +103,7 @@ public:
         if (!sat_) sat_ = make_sat(*netlist_, config_);
         AtpgFaultResult second = sat_->generate(fault, rng);
         second.effort += first.effort;
+        second.implied_gates += first.implied_gates;
         return second;
     }
 

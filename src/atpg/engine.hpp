@@ -74,6 +74,8 @@ struct AtpgFaultResult {
     /// Search effort spent on this target: backtracks for PODEM,
     /// conflicts for SAT (summed for Auto).
     std::uint64_t effort = 0;
+    /// Gates PODEM re-evaluated during implication (0 for SAT).
+    std::uint64_t implied_gates = 0;
 };
 
 class AtpgEngine {

@@ -30,6 +30,9 @@ struct PodemResult {
     std::vector<Bit> vector;
     std::vector<bool> assigned;  ///< which sources PODEM actually set
     std::size_t backtracks = 0;
+    /// Gates re-evaluated by implication (event-driven: only gates
+    /// whose fanin changed).
+    std::uint64_t implied_gates = 0;
 };
 
 class Podem {

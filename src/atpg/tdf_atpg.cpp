@@ -4,6 +4,7 @@
 
 #include "util/cancel.hpp"
 #include "util/log.hpp"
+#include "util/manifest.hpp"
 #include "util/metrics.hpp"
 #include "util/prng.hpp"
 #include "util/trace.hpp"
@@ -61,6 +62,7 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
                               const AtpgConfig& config) {
     const TraceSpan span("atpg", "atpg");
     std::uint64_t total_backtracks = 0;
+    std::uint64_t implied_gates = 0;
     AtpgResult result;
     const std::vector<TdfFault> faults = enumerate_tdf_faults(netlist);
     result.num_faults = faults.size();
@@ -72,6 +74,7 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
 
     // --- Phase 1: random patterns -------------------------------------
     TraceSpan random_span("atpg_random", "atpg");
+    const PhaseStopwatch random_watch;
     std::size_t idle = 0;
     std::size_t random_batches = 0;
     const CancelToken& cancel = CancelToken::global();
@@ -113,9 +116,11 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
     }
 
     random_span.end();
+    const double random_s = random_watch.elapsed("").wall_seconds;
 
     // --- Phase 2: deterministic engine (PODEM / SAT / auto) -----------
     TraceSpan podem_span("atpg_podem", "atpg");
+    const PhaseStopwatch deterministic_watch;
     if (config.deterministic_phase && !result.interrupted) {
         const std::unique_ptr<AtpgEngine> engine =
             make_atpg_engine(netlist, config);
@@ -135,6 +140,7 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
             ++targeted;
             AtpgFaultResult target = engine->generate(faults[fi], rng);
             total_backtracks += target.effort;
+            implied_gates += target.implied_gates;
             if (target.verdict == AtpgVerdict::Untestable) {
                 ++result.num_untestable;
                 continue;
@@ -161,8 +167,10 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
     }
 
     podem_span.end();
+    const double deterministic_s = deterministic_watch.elapsed("").wall_seconds;
 
     // --- Phase 3: reverse-order compaction -----------------------------
+    const PhaseStopwatch compact_watch;
     {
         const TraceSpan compact_span("atpg_compact", "atpg");
         std::vector<PatternPair>& pats = result.test_set.patterns;
@@ -179,6 +187,7 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
         }
         pats = std::move(compacted);
     }
+    const double compact_s = compact_watch.elapsed("").wall_seconds;
 
     result.num_detected =
         static_cast<std::size_t>(std::count(detected.begin(), detected.end(), true));
@@ -191,6 +200,12 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
     reg.counter("atpg.backtracks").add(total_backtracks);
     reg.counter("atpg.random_batches").add(random_batches);
     reg.counter("atpg.patterns").add(result.test_set.size());
+    reg.counter("atpg.implied_gates").add(implied_gates);
+    // Wall time of the three phases of this run (the flow's "atpg"
+    // PhaseTime is their sum, so they are gauges and not phases).
+    reg.gauge("atpg.random_s").set(random_s);
+    reg.gauge("atpg.deterministic_s").set(deterministic_s);
+    reg.gauge("atpg.compact_s").set(compact_s);
 
     log_info() << "ATPG " << netlist.name() << ": " << result.num_detected
                << "/" << result.num_faults << " TDF detected ("

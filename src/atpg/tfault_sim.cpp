@@ -1,8 +1,8 @@
 #include "atpg/tfault_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <unordered_map>
 
 namespace fastmon {
 
@@ -24,7 +24,15 @@ std::vector<TdfFault> enumerate_tdf_faults(const Netlist& netlist) {
 }
 
 TransitionFaultSim::TransitionFaultSim(const Netlist& netlist)
-    : netlist_(&netlist), logic_(netlist) {}
+    : netlist_(&netlist),
+      logic_(netlist),
+      overlay_(netlist.size(), 0),
+      stamp_(netlist.size(), 0),
+      observed_(netlist.size(), 0) {
+    for (const ObservePoint& op : netlist.observe_points()) {
+        observed_[op.signal] = 1;
+    }
+}
 
 TransitionFaultSim::Batch TransitionFaultSim::pack(
     std::span<const PatternPair> patterns, std::size_t first) const {
@@ -51,8 +59,10 @@ TransitionFaultSim::BatchValues TransitionFaultSim::evaluate(
 }
 
 std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
-                                              const BatchValues& values) const {
+                                              const BatchValues& values) {
     const Netlist& nl = *netlist_;
+    const std::span<const std::uint32_t> arc_offset = nl.arc_offsets();
+    const std::span<const GateId> arc_driver = nl.arc_drivers();
 
     // Signal at the fault site under both vectors.
     const GateId site_signal = fault_site_signal(nl, fault.site);
@@ -63,60 +73,72 @@ std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
 
     // Faulty propagation of the stale value under v2: the site keeps v1
     // in activated lanes.
-    std::unordered_map<GateId, std::uint64_t> overlay;
-    overlay.reserve(32);
+    if (++epoch_ == 0) {  // wrapped: every stamp is stale
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+    }
+    changed_.clear();
+    std::uint32_t horizon = 0;  // highest topological rank a change reaches
+    auto set_faulty = [&](GateId id, std::uint64_t w) {
+        stamp_[id] = epoch_;
+        overlay_[id] = w;
+        changed_.push_back(id);
+        for (GateId out : nl.gate(id).fanout) {
+            horizon = std::max(horizon, nl.topo_rank(out));
+        }
+    };
 
     std::uint64_t ins[8];
     auto eval_with_overlay = [&](GateId id,
                                  std::uint32_t faulty_pin,
                                  std::uint64_t faulty_word) -> std::uint64_t {
-        const Gate& g = nl.gate(id);
-        for (std::uint32_t p = 0;
-             p < static_cast<std::uint32_t>(g.fanin.size()); ++p) {
+        const std::uint32_t first = arc_offset[id];
+        const std::uint32_t arity = arc_offset[id + 1] - first;
+        for (std::uint32_t p = 0; p < arity; ++p) {
+            const GateId f = arc_driver[first + p];
             if (p == faulty_pin) {
                 ins[p] = faulty_word;
-                continue;
+            } else {
+                ins[p] = stamp_[f] == epoch_ ? overlay_[f] : values.val2[f];
             }
-            auto it = overlay.find(g.fanin[p]);
-            ins[p] = it != overlay.end() ? it->second : values.val2[g.fanin[p]];
         }
-        if (g.type == CellType::Output) return ins[0];
-        return eval_cell64(
-            g.type, std::span<const std::uint64_t>(ins, g.fanin.size()));
+        const CellType type = nl.gate(id).type;
+        if (type == CellType::Output) return ins[0];
+        return eval_cell64(type, std::span<const std::uint64_t>(ins, arity));
     };
 
     const std::uint64_t faulty_site = s2 ^ act;  // v1 value in active lanes
     if (fault.site.pin == FaultSite::kOutputPin) {
-        overlay.emplace(fault.site.gate, faulty_site);
+        set_faulty(fault.site.gate, faulty_site);
     } else {
         const std::uint64_t w = eval_with_overlay(
             fault.site.gate, fault.site.pin, faulty_site);
         if (w == values.val2[fault.site.gate]) return 0;
-        overlay.emplace(fault.site.gate, w);
+        set_faulty(fault.site.gate, w);
     }
 
+    // The cone lists combinational nodes and pads in topological order,
+    // then register sinks, which are never evaluated.  Once a node lies
+    // past the horizon, no later node needs evaluation.
     for (GateId id : nl.fanout_cone(fault.site.gate)) {
         if (id == fault.site.gate) continue;
-        const Gate& g = nl.gate(id);
-        bool dirty = false;
-        for (GateId f : g.fanin) {
-            if (overlay.contains(f)) {
-                dirty = true;
-                break;
-            }
+        if (nl.topo_rank(id) > horizon) break;
+        const std::uint32_t first = arc_offset[id];
+        const std::span<const GateId> in =
+            arc_driver.subspan(first, arc_offset[id + 1] - first);
+        if (std::none_of(in.begin(), in.end(),
+                         [this](GateId f) { return stamp_[f] == epoch_; })) {
+            continue;
         }
-        if (!dirty) continue;
-        if (g.type == CellType::Dff) continue;  // register boundary
+        if (nl.gate(id).type == CellType::Dff) continue;  // register boundary
         const std::uint64_t w =
             eval_with_overlay(id, FaultSite::kOutputPin + 0, 0);
-        if (w != values.val2[id]) overlay.emplace(id, w);
+        if (w != values.val2[id]) set_faulty(id, w);
     }
 
     std::uint64_t detected = 0;
-    for (const ObservePoint& op : nl.observe_points()) {
-        auto it = overlay.find(op.signal);
-        if (it == overlay.end()) continue;
-        detected |= it->second ^ values.val2[op.signal];
+    for (GateId id : changed_) {
+        if (observed_[id] != 0) detected |= overlay_[id] ^ values.val2[id];
     }
     return detected & act;
 }

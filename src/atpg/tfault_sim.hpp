@@ -6,7 +6,10 @@
 // and the stale value propagates to an observation point under v2 —
 // i.e. the gross-delay abstraction of a delay fault.  The simulator
 // packs 64 pattern pairs into machine words and re-simulates only the
-// fanout cone per fault, with fault dropping.
+// fanout cone per fault, with fault dropping.  Faulty words live in a
+// dense epoch-stamped overlay indexed by GateId (as in FaultSim): a
+// membership test is one load, and a new fault clears the overlay by
+// bumping the epoch.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +55,25 @@ public:
     };
     [[nodiscard]] BatchValues evaluate(const Batch& batch) const;
 
-    /// Lane mask of patterns in the batch that detect `fault`.
+    /// Lane mask of patterns in the batch that detect `fault`.  Uses
+    /// the simulator's overlay: one simulator per thread.
     [[nodiscard]] std::uint64_t detect_mask(const TdfFault& fault,
-                                            const BatchValues& values) const;
+                                            const BatchValues& values);
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
 
 private:
     const Netlist* netlist_;
     LogicSim logic_;
+    /// Faulty v2 word of each gate whose stamp equals epoch_ (the gates
+    /// the current fault changed, listed in changed_); every other gate
+    /// has its good word.
+    std::vector<std::uint64_t> overlay_;
+    std::vector<std::uint32_t> stamp_;
+    std::uint32_t epoch_ = 0;
+    std::vector<GateId> changed_;
+    /// 1 for gates that drive an observation point.
+    std::vector<std::uint8_t> observed_;
 };
 
 /// Convenience: fault-simulates `patterns` against `faults` with

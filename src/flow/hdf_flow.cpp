@@ -200,6 +200,9 @@ void HdfFlow::prepare() {
             const AtpgResult ar = generate_tdf_tests(nl, atpg);
             test_set_ = ar.test_set;
             atpg_coverage_ = ar.coverage();
+            atpg_efficiency_ = ar.efficiency();
+            atpg_untestable_ = ar.num_untestable;
+            atpg_aborted_ = ar.num_aborted;
             if (ar.interrupted) {
                 st.outcome = PhaseOutcome::Degraded;
                 st.detail = "ATPG cancelled: partial test set (" +
@@ -418,6 +421,9 @@ HdfFlowResult HdfFlow::run() {
     res.clock_period = sta_.clock_period;
     res.t_min = sta_.clock_period / config_.fmax_factor;
     res.atpg_coverage = atpg_coverage_;
+    res.atpg_efficiency = atpg_efficiency_;
+    res.atpg_untestable = atpg_untestable_;
+    res.atpg_aborted = atpg_aborted_;
 
     auto scaled = [this](std::size_t n) {
         return static_cast<std::size_t>(

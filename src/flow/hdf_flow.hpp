@@ -126,6 +126,10 @@ struct HdfFlowResult {
     Time clock_period = 0.0;
     Time t_min = 0.0;
     double atpg_coverage = 0.0;
+    /// ATPG fault efficiency: detected / (faults - proven untestable).
+    double atpg_efficiency = 0.0;
+    std::size_t atpg_untestable = 0;  ///< proven redundant
+    std::size_t atpg_aborted = 0;     ///< effort exhausted, not proven
     // --- engine counters (pass A + pass B accumulated) ---
     DetectionCounters detection;
     // --- observability ---
@@ -242,6 +246,9 @@ private:
     MonitorPlacement placement_;
     TestSet test_set_;
     double atpg_coverage_ = 0.0;
+    double atpg_efficiency_ = 0.0;
+    std::size_t atpg_untestable_ = 0;
+    std::size_t atpg_aborted_ = 0;
     FaultUniverse universe_;
     StructuralClassification structural_;
     std::vector<FaultId> simulated_;

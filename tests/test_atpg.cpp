@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "util/metrics.hpp"
 #include "util/prng.hpp"
 
 namespace fastmon {
@@ -161,6 +164,40 @@ TEST(Atpg, DeterministicAcrossRuns) {
     const AtpgResult b = generate_tdf_tests(make_s27(), cfg);
     EXPECT_EQ(a.test_set.patterns, b.test_set.patterns);
     EXPECT_EQ(a.num_detected, b.num_detected);
+}
+
+/// 64-bit FNV-1a over the pattern file text: one hash of every v1/v2 bit
+/// of the test set, in order.
+std::uint64_t pattern_hash(const TestSet& tests) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const char c : write_patterns_string(tests)) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(Atpg, PinnedS9234TestSet) {
+    // The benchmark-sized flow's ATPG at a fixed seed, cut to 100
+    // deterministic targets.  Any change to the random phase, PODEM's
+    // decisions or the compaction moves one of these numbers; an
+    // optimization of the ATPG must leave all of them as they are.
+    const CircuitProfile& profile = find_profile("s9234");
+    const Netlist nl = generate_circuit(profile_config(profile, 1.0));
+    AtpgConfig cfg;
+    cfg.seed = 9234 ^ profile.seed;
+    cfg.max_random_batches = 150;
+    cfg.max_deterministic_faults = 100;
+    Counter& backtracks = MetricsRegistry::global().counter("atpg.backtracks");
+    const std::uint64_t backtracks_before = backtracks.value();
+    const AtpgResult r = generate_tdf_tests(nl, cfg);
+    EXPECT_EQ(r.test_set.size(), 233u);
+    EXPECT_EQ(r.num_faults, 11538u);
+    EXPECT_EQ(r.num_detected, 6409u);
+    EXPECT_EQ(r.num_untestable, 63u);
+    EXPECT_EQ(r.num_aborted, 28u);
+    EXPECT_EQ(backtracks.value() - backtracks_before, 12397u);
+    EXPECT_EQ(pattern_hash(r.test_set), 5327795569785133945ULL);
 }
 
 }  // namespace

@@ -45,6 +45,11 @@ TEST(HdfFlow, S27EndToEnd) {
     EXPECT_GT(r.clock_period, 0.0);
     EXPECT_NEAR(r.t_min, r.clock_period / 3.0, 1e-9);
     EXPECT_EQ(r.schedule_uncovered, 0u);
+    // Every s27 transition fault is settled: none aborted, and the
+    // efficiency discounts only proven-untestable faults.
+    EXPECT_EQ(r.atpg_aborted, 0u);
+    EXPECT_GE(r.atpg_efficiency, r.atpg_coverage);
+    EXPECT_LE(r.atpg_efficiency, 1.0);
     // Schedule consistency: optimized never exceeds naive.
     EXPECT_LE(r.opti_pc, r.orig_pc);
     ASSERT_EQ(r.coverage_rows.size(), 4u);
@@ -84,6 +89,23 @@ TEST(HdfFlow, PhasesAndManifestCoverTheRun) {
     EXPECT_EQ(m.circuit().find("name")->as_string(), "s27");
     ASSERT_NE(m.config().find("seed"), nullptr);
     EXPECT_NE(m.metrics().find("detection"), nullptr);
+    // ATPG's random/deterministic/compaction split is in the metrics
+    // snapshot (gauges, so the phase table does not count it twice),
+    // with PODEM's implication work as a counter.
+    const Json* gauges = m.metrics().find("gauges");
+    ASSERT_NE(gauges, nullptr);
+    double atpg_parts = 0.0;
+    for (const char* key :
+         {"atpg.random_s", "atpg.deterministic_s", "atpg.compact_s"}) {
+        const Json* g = gauges->find(key);
+        ASSERT_NE(g, nullptr) << key;
+        EXPECT_GE(g->as_number(), 0.0) << key;
+        atpg_parts += g->as_number();
+    }
+    EXPECT_LE(atpg_parts, r.phases[2].wall_seconds * 1.001);
+    const Json* counters = m.metrics().find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(counters->find("atpg.implied_gates"), nullptr);
     // The manifest document round-trips through JSON.
     const auto back = RunManifest::from_json(m.to_json());
     ASSERT_TRUE(back.has_value());

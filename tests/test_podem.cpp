@@ -30,6 +30,10 @@ TEST(Podem, DetectsStuckAtZeroOnAndOutput) {
     EXPECT_TRUE(r.assigned[1]);
     EXPECT_EQ(r.vector[0], 1);
     EXPECT_EQ(r.vector[1], 1);
+    // Event-driven implication: y and its pad at the start (the fault
+    // makes y's faulty side 0), y alone after a = 1 (its value holds at
+    // (X, 0), so the pad is not revisited), y and the pad after b = 1.
+    EXPECT_EQ(r.implied_gates, 5u);
 }
 
 TEST(Podem, DetectsStuckAtOneOnAndInput) {

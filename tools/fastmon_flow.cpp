@@ -173,6 +173,10 @@ int main(int argc, char** argv) {
         std::cout << "atpg engine: "
                   << atpg_engine_kind_name(config.atpg.engine)
                   << ", coverage " << result.atpg_coverage << "\n";
+        std::cout << "atpg faults: TDF coverage " << result.atpg_coverage
+                  << ", efficiency " << result.atpg_efficiency << ", "
+                  << result.atpg_untestable << " proven untestable, "
+                  << result.atpg_aborted << " aborted (not proven)\n";
         std::cout << "flow status: "
                   << (result.status.complete() ? "complete" : "degraded")
                   << "\n";
