@@ -33,38 +33,64 @@ bool cancel_requested() {
     return CancelToken::global().cancelled();
 }
 
-/// Freelist of per-worker fault-simulation scratches for one pass; the
-/// scratches stay alive until the pass ends so their work counters can
-/// be harvested.
-class ScratchPool {
+/// Freelist of per-worker states for one pass; they stay alive until
+/// the pass ends so their work counters can be harvested.
+template <class T>
+class WorkerPool {
 public:
-    FaultSimScratch* acquire() {
+    T* acquire() {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (!free_.empty()) {
-            FaultSimScratch* s = free_.back();
+            T* w = free_.back();
             free_.pop_back();
-            return s;
+            return w;
         }
-        all_.push_back(std::make_unique<FaultSimScratch>());
+        all_.push_back(std::make_unique<T>());
         return all_.back().get();
     }
 
-    void release(FaultSimScratch* s) {
+    void release(T* w) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        free_.push_back(s);
+        free_.push_back(w);
     }
 
     [[nodiscard]] std::uint64_t gates_evaluated() const {
         const std::lock_guard<std::mutex> lock(mutex_);
         std::uint64_t total = 0;
-        for (const auto& s : all_) total += s->gates_evaluated();
+        for (const auto& w : all_) total += w->scratch.gates_evaluated();
         return total;
     }
 
 private:
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<FaultSimScratch>> all_;
-    std::vector<FaultSimScratch*> free_;
+    std::vector<std::unique_ptr<T>> all_;
+    std::vector<T*> free_;
+};
+
+/// Runs fn(begin, end) over [0, total): in one call when serial, else
+/// in parallel chunks (four per lane) on `tp`, waiting for all of them.
+template <class Fn>
+void run_chunks(ThreadPool* tp, std::size_t total, const Fn& fn) {
+    if (tp == nullptr) {
+        fn(std::size_t{0}, total);
+        return;
+    }
+    if (total == 0) return;
+    const std::size_t chunk_count = std::min(total, (tp->size() + 1) * 4);
+    const std::size_t chunk = (total + chunk_count - 1) / chunk_count;
+    ThreadPool::TaskGroup group(*tp);
+    for (std::size_t b = 0; b < total; b += chunk) {
+        const std::size_t e = std::min(total, b + chunk);
+        group.run([&fn, b, e] { fn(b, e); });
+    }
+    group.wait();
+}
+
+/// A fault-free waveform set and the buffers that produce it; recycled
+/// from pattern to pattern.
+struct GoodWaves {
+    std::vector<Waveform> waves;
+    WaveEvalBuffers buf;
 };
 
 }  // namespace
@@ -154,6 +180,7 @@ DetectionAnalyzer::DetectionAnalyzer(const WaveSim& wave_sim,
                                      const std::vector<bool>& monitored,
                                      DetectionAnalysisConfig config)
     : wave_sim_(&wave_sim),
+      fault_sim_(wave_sim),
       patterns_(patterns),
       monitored_(monitored),
       config_(config) {
@@ -174,18 +201,79 @@ ThreadPool* DetectionAnalyzer::pool() const {
     return &ThreadPool::shared();
 }
 
-DetectionAnalyzer::PairRanges DetectionAnalyzer::ranges_for_pattern(
-    const FaultSim& fsim, const DelayFault& fault,
-    std::span<const Waveform> good, FaultSimScratch& scratch) const {
-    PairRanges out;
-    for (const ObserveDiff& od : fsim.simulate(fault, good, scratch)) {
-        IntervalSet ivals = od.diff.ones(config_.horizon);
-        ivals.filter_glitches(config_.glitch_threshold);
-        if (ivals.empty()) continue;
-        out.ff.unite(ivals);
-        if (monitored_[od.observe_index]) out.sr.unite(ivals);
+void DetectionAnalyzer::ranges_for_pattern(const DelayFault& fault,
+                                           std::span<const Waveform> good,
+                                           Worker& worker) const {
+    worker.ff.clear();
+    worker.sr.clear();
+    for (const ObserveDiff& od :
+         fault_sim_.simulate(fault, good, worker.scratch)) {
+        od.diff.ones_into(config_.horizon, worker.ivals);
+        worker.ivals.filter_glitches(config_.glitch_threshold);
+        if (worker.ivals.empty()) continue;
+        worker.ff.unite(worker.ivals);
+        if (monitored_[od.observe_index]) worker.sr.unite(worker.ivals);
     }
-    return out;
+}
+
+void DetectionAnalyzer::for_each_good_wave(
+    std::span<const std::uint32_t> pats,
+    const std::function<void(std::uint32_t, std::span<const Waveform>)>&
+        consume) const {
+    auto simulate_good = [this](std::uint32_t pi, GoodWaves& slot) {
+        const TraceSpan wave_span("good_wave", "detect");
+        const auto t0 = Clock::now();
+        const PatternPair& p = patterns_[pi];
+        wave_sim_->simulate(p.v1, p.v2, slot.waves, slot.buf);
+        ++stats_.good_wave_sims;
+        stats_.good_wave_ns += ns_since(t0);
+    };
+
+    ThreadPool* tp = pool();
+    if (tp == nullptr) {
+        GoodWaves slot;
+        for (std::uint32_t pi : pats) {
+            if (cancel_requested()) {
+                interrupted_.store(true, std::memory_order_relaxed);
+                break;
+            }
+            simulate_good(pi, slot);
+            consume(pi, slot.waves);
+        }
+        return;
+    }
+
+    // Pipelined producer: fault-free waveforms of upcoming patterns are
+    // simulated on the pool while the current pattern's fault chunks
+    // run, so workers never idle between patterns.  Pattern idx uses
+    // ring slot idx % lookahead; its producer is submitted only after
+    // pattern idx - lookahead has been consumed.
+    const std::size_t lookahead = std::min(pats.size(), tp->size() + 3);
+    std::vector<GoodWaves> slots(lookahead);
+    std::vector<std::unique_ptr<ThreadPool::TaskGroup>> producers(
+        pats.size());
+    std::size_t next_submit = 0;
+    for (std::size_t idx = 0; idx < pats.size(); ++idx) {
+        if (cancel_requested()) {
+            // Already-submitted producer groups drain through their
+            // destructors (before the slots); no slot is consumed after
+            // this point.
+            interrupted_.store(true, std::memory_order_relaxed);
+            break;
+        }
+        for (; next_submit < std::min(pats.size(), idx + lookahead);
+             ++next_submit) {
+            const std::uint32_t pi = pats[next_submit];
+            GoodWaves& slot = slots[next_submit % lookahead];
+            producers[next_submit] =
+                std::make_unique<ThreadPool::TaskGroup>(*tp);
+            producers[next_submit]->run(
+                [&simulate_good, pi, &slot] { simulate_good(pi, slot); });
+        }
+        producers[idx]->wait();
+        consume(pats[idx], slots[idx % lookahead].waves);
+        producers[idx].reset();
+    }
 }
 
 std::vector<FaultRanges> DetectionAnalyzer::analyze(
@@ -230,7 +318,7 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
     stats_.screen_ns += ns_since(t_screen);
     screen_span.end();
 
-    ScratchPool scratches;
+    WorkerPool<Worker> workers;
 
     // One (pattern, fault chunk) work item; patterns are processed in
     // ascending order with a barrier in between, so the per-fault
@@ -239,8 +327,7 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
                          std::size_t begin, std::size_t end) {
         const TraceSpan chunk_span("fault_sim_chunk", "detect");
         const auto t0 = Clock::now();
-        FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_);
+        Worker* worker = workers.acquire();
         std::uint64_t screened = 0;
         std::uint64_t inactive = 0;
         std::uint64_t simulated = 0;
@@ -256,20 +343,19 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
                 ++screened;
                 continue;
             }
-            if (!fsim.activated(faults[fi], good)) {
+            if (!fault_sim_.activated(faults[fi], good)) {
                 ++inactive;
                 continue;
             }
             ++simulated;
-            PairRanges pr =
-                ranges_for_pattern(fsim, faults[fi], good, *scratch);
-            if (pr.ff.empty() && pr.sr.empty()) continue;
+            ranges_for_pattern(faults[fi], good, *worker);
+            if (worker->ff.empty() && worker->sr.empty()) continue;
             ++detected;
-            result[fi].ff.unite(pr.ff);
-            result[fi].sr.unite(pr.sr);
+            result[fi].ff.unite(worker->ff);
+            result[fi].sr.unite(worker->sr);
             result[fi].active_patterns.push_back(pi);
         }
-        scratches.release(scratch);
+        workers.release(worker);
         stats_.pairs_screened_out += screened;
         stats_.pairs_inactive += inactive;
         stats_.pairs_simulated += simulated;
@@ -278,74 +364,13 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
     };
 
     ThreadPool* tp = pool();
-    if (tp == nullptr) {
-        for (std::uint32_t pi : active_pats) {
-            if (cancel_requested()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            const auto t0 = Clock::now();
-            const PatternPair& p = patterns_[pi];
-            const std::vector<Waveform> good =
-                wave_sim_->simulate(p.v1, p.v2);
-            ++stats_.good_wave_sims;
-            stats_.good_wave_ns += ns_since(t0);
-            run_chunk(pi, good, 0, faults.size());
-        }
-    } else {
-        // Pipelined producer: fault-free waveforms of upcoming patterns
-        // are simulated on the pool while the current pattern's fault
-        // chunks run, so workers never idle between patterns.
-        const std::size_t lanes = tp->size() + 1;
-        const std::size_t lookahead =
-            std::min(active_pats.size(), lanes + 2);
-        std::vector<std::vector<Waveform>> slots(active_pats.size());
-        std::vector<std::unique_ptr<ThreadPool::TaskGroup>> producers(
-            active_pats.size());
-        std::size_t next_submit = 0;
-        auto submit_until = [&](std::size_t limit) {
-            for (; next_submit < limit; ++next_submit) {
-                const std::size_t idx = next_submit;
-                producers[idx] =
-                    std::make_unique<ThreadPool::TaskGroup>(*tp);
-                producers[idx]->run([this, idx, &slots, &active_pats] {
-                    const TraceSpan wave_span("good_wave", "detect");
-                    const auto t0 = Clock::now();
-                    const PatternPair& p = patterns_[active_pats[idx]];
-                    slots[idx] = wave_sim_->simulate(p.v1, p.v2);
-                    ++stats_.good_wave_sims;
-                    stats_.good_wave_ns += ns_since(t0);
-                });
-            }
-        };
-        for (std::size_t idx = 0; idx < active_pats.size(); ++idx) {
-            if (cancel_requested()) {
-                // Already-submitted producer groups drain through their
-                // destructors; no slot is consumed after this point.
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            submit_until(std::min(active_pats.size(), idx + lookahead));
-            producers[idx]->wait();
-            const std::vector<Waveform>& good = slots[idx];
-            const std::uint32_t pi = active_pats[idx];
-            ThreadPool::TaskGroup group(*tp);
-            const std::size_t chunk_count =
-                std::min(faults.size(), lanes * 4);
-            const std::size_t chunk =
-                (faults.size() + chunk_count - 1) / chunk_count;
-            for (std::size_t b = 0; b < faults.size(); b += chunk) {
-                const std::size_t e = std::min(faults.size(), b + chunk);
-                group.run([&run_chunk, pi, &good, b, e] {
-                    run_chunk(pi, good, b, e);
-                });
-            }
-            group.wait();
-            slots[idx] = {};
-            producers[idx].reset();
-        }
-    }
-    stats_.gates_reevaluated += scratches.gates_evaluated();
+    for_each_good_wave(
+        active_pats, [&](std::uint32_t pi, std::span<const Waveform> good) {
+            run_chunks(tp, faults.size(), [&](std::size_t b, std::size_t e) {
+                run_chunk(pi, good, b, e);
+            });
+        });
+    stats_.gates_reevaluated += workers.gates_evaluated();
     stats_.analyze_ns += ns_since(t_total);
     return result;
 }
@@ -371,106 +396,52 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
 
     std::vector<DetectionEntry> entries;
     std::mutex entries_mutex;
-    ScratchPool scratches;
+    WorkerPool<Worker> workers;
 
     auto run_chunk = [&](std::uint32_t pi, std::span<const Waveform> good,
                          std::size_t begin, std::size_t end) {
         const TraceSpan chunk_span("table_chunk", "detect");
-        FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_);
+        Worker* worker = workers.acquire();
         const auto& flist = by_pattern[pi];
-        std::vector<DetectionEntry> local;
+        std::vector<DetectionEntry>& local = worker->entries;
+        local.clear();
         for (std::size_t k = begin; k < end; ++k) {
             if (CancelToken::global().cancelled()) {
                 interrupted_.store(true, std::memory_order_relaxed);
                 break;
             }
             const std::uint32_t fi = flist[k];
-            const PairRanges pr =
-                ranges_for_pattern(fsim, faults[fi], good, *scratch);
+            ranges_for_pattern(faults[fi], good, *worker);
             for (std::uint16_t ti = 0; ti < periods.size(); ++ti) {
                 const Time t = periods[ti];
                 for (std::uint16_t ci = 0; ci < config_delays.size(); ++ci) {
                     const Time shifted = t - config_delays[ci];
                     const bool det =
-                        (ci == 0 && pr.ff.contains(t)) ||
-                        (ci != 0 && (pr.ff.contains(t) ||
-                                     pr.sr.contains(shifted)));
+                        (ci == 0 && worker->ff.contains(t)) ||
+                        (ci != 0 && (worker->ff.contains(t) ||
+                                     worker->sr.contains(shifted)));
                     if (det) {
                         local.push_back(DetectionEntry{fi, pi, ci, ti});
                     }
                 }
             }
         }
-        scratches.release(scratch);
         stats_.pairs_simulated += end - begin;
-        const std::lock_guard<std::mutex> lock(entries_mutex);
-        entries.insert(entries.end(), local.begin(), local.end());
+        {
+            const std::lock_guard<std::mutex> lock(entries_mutex);
+            entries.insert(entries.end(), local.begin(), local.end());
+        }
+        workers.release(worker);
     };
 
     ThreadPool* tp = pool();
-    if (tp == nullptr) {
-        for (std::uint32_t pi : active_pats) {
-            if (cancel_requested()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            const auto t0 = Clock::now();
-            const PatternPair& p = patterns_[pi];
-            const std::vector<Waveform> good =
-                wave_sim_->simulate(p.v1, p.v2);
-            ++stats_.good_wave_sims;
-            stats_.good_wave_ns += ns_since(t0);
-            run_chunk(pi, good, 0, by_pattern[pi].size());
-        }
-    } else {
-        const std::size_t lanes = tp->size() + 1;
-        const std::size_t lookahead =
-            std::min(active_pats.size(), lanes + 2);
-        std::vector<std::vector<Waveform>> slots(active_pats.size());
-        std::vector<std::unique_ptr<ThreadPool::TaskGroup>> producers(
-            active_pats.size());
-        std::size_t next_submit = 0;
-        auto submit_until = [&](std::size_t limit) {
-            for (; next_submit < limit; ++next_submit) {
-                const std::size_t idx = next_submit;
-                producers[idx] =
-                    std::make_unique<ThreadPool::TaskGroup>(*tp);
-                producers[idx]->run([this, idx, &slots, &active_pats] {
-                    const TraceSpan wave_span("good_wave", "detect");
-                    const auto t0 = Clock::now();
-                    const PatternPair& p = patterns_[active_pats[idx]];
-                    slots[idx] = wave_sim_->simulate(p.v1, p.v2);
-                    ++stats_.good_wave_sims;
-                    stats_.good_wave_ns += ns_since(t0);
-                });
-            }
-        };
-        for (std::size_t idx = 0; idx < active_pats.size(); ++idx) {
-            if (cancel_requested()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            submit_until(std::min(active_pats.size(), idx + lookahead));
-            producers[idx]->wait();
-            const std::vector<Waveform>& good = slots[idx];
-            const std::uint32_t pi = active_pats[idx];
-            const std::size_t total = by_pattern[pi].size();
-            ThreadPool::TaskGroup group(*tp);
-            const std::size_t chunk_count = std::min(total, lanes * 4);
-            const std::size_t chunk =
-                (total + chunk_count - 1) / chunk_count;
-            for (std::size_t b = 0; b < total; b += chunk) {
-                const std::size_t e = std::min(total, b + chunk);
-                group.run([&run_chunk, pi, &good, b, e] {
-                    run_chunk(pi, good, b, e);
-                });
-            }
-            group.wait();
-            slots[idx] = {};
-            producers[idx].reset();
-        }
-    }
+    for_each_good_wave(
+        active_pats, [&](std::uint32_t pi, std::span<const Waveform> good) {
+            run_chunks(tp, by_pattern[pi].size(),
+                       [&](std::size_t b, std::size_t e) {
+                           run_chunk(pi, good, b, e);
+                       });
+        });
     std::sort(entries.begin(), entries.end(),
               [](const DetectionEntry& a, const DetectionEntry& b) {
                   if (a.fault_index != b.fault_index)
@@ -479,7 +450,7 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
                   if (a.pattern != b.pattern) return a.pattern < b.pattern;
                   return a.config < b.config;
               });
-    stats_.gates_reevaluated += scratches.gates_evaluated();
+    stats_.gates_reevaluated += workers.gates_evaluated();
     stats_.table_ns += ns_since(t_total);
     return entries;
 }

@@ -2,13 +2,14 @@
 // steps (2)-(4) of the paper's test flow (Fig. 4).
 //
 // Pass A (analyze): for every candidate fault and every pattern pair,
-// the fanout cone is re-simulated; the XOR of fault-free and faulty
-// waveforms at each observation point yields detection intervals, which
-// are pulse-filtered (Sec. II-A) and accumulated into two aggregates per
-// fault: the range observable by standard flip-flops (all observation
-// points) and the unshifted range observable by monitor shadow
-// registers (monitored observation points only).  Patterns that produce
-// any difference are remembered for pass B.
+// the fault effect is propagated from the site; the XOR of fault-free
+// and faulty waveforms at each observation point yields detection
+// intervals, which are pulse-filtered (Sec. II-A) and accumulated into
+// two aggregates per fault: the range observable by standard
+// flip-flops (all observation points) and the unshifted range
+// observable by monitor shadow registers (monitored observation points
+// only).  Patterns that produce any difference are remembered for
+// pass B.
 //
 // Pass B (detection_table): re-simulates only (fault, active pattern)
 // pairs and evaluates detection at a small set of selected observation
@@ -19,16 +20,19 @@
 //   * a bit-parallel ternary pre-screen (ActivationScreen) packs
 //     patterns 64-wide and discards (fault, pattern) pairs whose site
 //     provably never toggles, before any waveform is touched;
-//   * surviving pairs run through FaultSim over the netlist's memoized
-//     fanout cones, with per-worker dense-overlay scratch;
+//   * surviving pairs run through FaultSim's event-driven propagation
+//     with per-worker dense-overlay scratch and range buffers, which
+//     are reused, so a warm worker allocates nothing per pair;
 //   * work executes on a persistent thread pool: fault pairs of the
 //     current pattern in parallel chunks, the next patterns'
-//     fault-free waveforms as pipelined producer tasks;
+//     fault-free waveforms as pipelined producer tasks into a ring of
+//     recycled waveform slots;
 //   * cheap counters record how much work each stage did.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -84,7 +88,7 @@ struct DetectionCounters {
     std::uint64_t pairs_total = 0;         ///< (fault, pattern) pairs seen
     std::uint64_t pairs_screened_out = 0;  ///< dropped by the bit-parallel screen
     std::uint64_t pairs_inactive = 0;      ///< dropped by the exact activation check
-    std::uint64_t pairs_simulated = 0;     ///< full cone re-simulations
+    std::uint64_t pairs_simulated = 0;     ///< FaultSim::simulate calls
     std::uint64_t pairs_detected = 0;      ///< simulations with a non-empty range
     std::uint64_t gates_reevaluated = 0;   ///< gate evaluations inside FaultSim
     std::uint64_t good_wave_sims = 0;      ///< fault-free waveform simulations
@@ -188,17 +192,31 @@ public:
     }
 
 private:
-    /// FF/SR interval pair for one fault under one pattern.
-    struct PairRanges {
+    /// Per-worker state of one pass: the fault-simulation scratch and
+    /// the FF/SR interval buffers of one (fault, pattern) pair, reused
+    /// across pairs.
+    struct Worker {
+        FaultSimScratch scratch;
         IntervalSet ff;
         IntervalSet sr;
+        IntervalSet ivals;
+        std::vector<DetectionEntry> entries;  ///< pass B chunk output
     };
-    [[nodiscard]] PairRanges ranges_for_pattern(
-        const FaultSim& fsim, const DelayFault& fault,
-        std::span<const Waveform> good, FaultSimScratch& scratch) const;
+    /// Simulates `fault` and leaves its FF/SR ranges in worker.ff/sr.
+    void ranges_for_pattern(const DelayFault& fault,
+                            std::span<const Waveform> good,
+                            Worker& worker) const;
 
     /// nullptr = run serial (num_threads == 1).
     [[nodiscard]] ThreadPool* pool() const;
+
+    /// Calls consume(pattern, good) for each pattern of `pats` in order,
+    /// with the fault-free waveforms of the next patterns simulated
+    /// ahead on the pool.  Stops early on a cancellation request.
+    void for_each_good_wave(
+        std::span<const std::uint32_t> pats,
+        const std::function<void(std::uint32_t, std::span<const Waveform>)>&
+            consume) const;
 
     struct Atomics {
         std::atomic<std::uint64_t> pairs_total{0};
@@ -216,6 +234,7 @@ private:
     };
 
     const WaveSim* wave_sim_;
+    FaultSim fault_sim_;
     std::span<const PatternPair> patterns_;
     std::vector<bool> monitored_;
     DetectionAnalysisConfig config_;

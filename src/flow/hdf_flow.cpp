@@ -673,6 +673,10 @@ RunManifest HdfFlow::manifest(const HdfFlowResult& result) const {
     m.set_circuit("target_faults", result.target_faults);
     m.set_circuit("schedule_proven_optimal", result.schedule_proven_optimal);
     m.set_circuit("schedule_uncovered", result.schedule_uncovered);
+    m.set_circuit("atpg_coverage", result.atpg_coverage);
+    m.set_circuit("atpg_efficiency", result.atpg_efficiency);
+    m.set_circuit("atpg_untestable", result.atpg_untestable);
+    m.set_circuit("atpg_aborted", result.atpg_aborted);
 
     for (const PhaseTime& p : result.phases) m.add_phase(p);
     m.set_total_wall_seconds(result.total_wall_seconds);

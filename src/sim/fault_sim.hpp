@@ -1,27 +1,32 @@
 // Timing-accurate small delay fault simulation.
 //
 // For a fault (site, transition direction, size delta) and a pattern
-// pair, re-simulates the fanout cone of the fault site against the
+// pair, propagates the fault effect from the site against the
 // fault-free waveforms and yields, per observation point, the XOR of
 // fault-free and faulty waveforms — the raw material of detection
-// ranges (Sec. III-B).  Only gates whose fanin waveforms actually
-// changed are re-evaluated, so cost scales with the affected cone.
+// ranges (Sec. III-B).
 //
 // Hot-path plumbing (the engine runs one simulate() per activated
-// (fault, pattern) pair, millions on the larger benches):
-//   * cones come from Netlist::fanout_cone, which memoizes them per
-//     netlist: a cone is shared by both transition directions of a
-//     site, by every pattern and by every other user of the netlist
-//     (ATPG included), so the traversal + sort happens once per site.
+// (fault, pattern) pair, hundreds of thousands on the larger benches):
+//   * propagation is event-driven: a gate is evaluated only when one of
+//     its fanin waveforms differs from the fault-free one, in
+//     topological-rank order through a min-heap with an epoch-stamped
+//     in-queue flag, and only its combinational fanouts are queued when
+//     its own waveform differs.  Nothing visits the rest of the cone.
 //   * FaultSimScratch holds the faulty-waveform overlay as an
 //     epoch-stamped dense array indexed by GateId: membership tests
 //     are one load, and a new simulation "clears" the overlay by
-//     bumping the epoch instead of deallocating.  One scratch per
-//     thread; waveform buffers are recycled across calls.
+//     bumping the epoch instead of deallocating.  Every waveform,
+//     event list and difference buffer in it is reused, so a warm
+//     scratch makes a simulation allocation-free.  One scratch per
+//     thread.
+//   * observation differences come from the changed gates through a
+//     gate -> observe-index table, not from a scan of every point.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/wave_sim.hpp"
@@ -61,8 +66,9 @@ struct ObserveDiff {
                                        const FaultSite& site);
 
 /// Per-thread scratch state of the fault-simulation hot path: the dense
-/// epoch-stamped faulty-waveform overlay plus recycled buffers.  Not
-/// thread-safe; use one instance per worker.
+/// epoch-stamped faulty-waveform overlay, the propagation queue and
+/// every buffer a simulation writes.  Not thread-safe; use one instance
+/// per worker.
 class FaultSimScratch {
 public:
     FaultSimScratch() = default;
@@ -80,15 +86,20 @@ private:
     [[nodiscard]] bool has(GateId id) const {
         return stamp_[id] == epoch_;
     }
-    Waveform& put(GateId id) {
-        stamp_[id] = epoch_;
-        return overlay_[id];
-    }
 
     std::vector<Waveform> overlay_;
-    std::vector<std::uint32_t> stamp_;
+    std::vector<std::uint32_t> stamp_;   ///< == epoch_: overlay_ entry live
+    std::vector<std::uint32_t> queued_;  ///< == epoch_: gate is in heap_
     std::uint32_t epoch_ = 0;
-    std::vector<const Waveform*> fanin_waves_;
+    /// Pending gates as (topological rank, gate), a min-heap on rank.
+    std::vector<std::pair<std::uint32_t, GateId>> heap_;
+    std::vector<GateId> changed_;         ///< overlay gates, in put order
+    std::vector<std::uint32_t> observes_; ///< observe indices of changed_
+    Waveform wave_;                       ///< evaluation target
+    Waveform pin_wave_;                   ///< slowed input-pin waveform
+    WaveEvalBuffers eval_;
+    std::vector<ObserveDiff> diffs_;      ///< [0, num_diffs_) valid
+    std::size_t num_diffs_ = 0;
     std::uint64_t gates_evaluated_ = 0;
 };
 
@@ -98,13 +109,14 @@ public:
 
     /// Re-simulates `fault` against the fault-free waveforms `good`
     /// (as produced by WaveSim::simulate for the same pattern pair).
-    /// Returns the non-empty difference waveforms per observation point.
+    /// Returns the non-empty difference waveforms per observation
+    /// point, in observe-index order.
     [[nodiscard]] std::vector<ObserveDiff> simulate(
         const DelayFault& fault, std::span<const Waveform> good) const;
 
-    /// Hot-path variant: identical result, state kept in `scratch`
-    /// (dense overlay, no per-call allocation).
-    [[nodiscard]] std::vector<ObserveDiff> simulate(
+    /// Hot-path variant: identical result, state and result kept in
+    /// `scratch`.  The view is valid until the next call on `scratch`.
+    [[nodiscard]] std::span<const ObserveDiff> simulate(
         const DelayFault& fault, std::span<const Waveform> good,
         FaultSimScratch& scratch) const;
 
@@ -114,12 +126,16 @@ public:
                                  std::span<const Waveform> good) const;
 
 private:
-    /// Waveform of the signal at the fault site (gate output for output
-    /// faults, driving fanin for input-pin faults).
-    [[nodiscard]] const Waveform& site_signal(
-        const FaultSite& site, std::span<const Waveform> good) const;
+    /// Records `w` (in scratch.wave_) as gate `id`'s faulty waveform when
+    /// it differs from `good_wave`, and queues the gate's fanouts.
+    void commit(GateId id, const Waveform& good_wave,
+                FaultSimScratch& scratch) const;
 
     const WaveSim* wave_sim_;
+    /// Observe indices driven by each gate, flat: [observe_offset_[g],
+    /// observe_offset_[g + 1]) of observe_.
+    std::vector<std::uint32_t> observe_offset_;
+    std::vector<std::uint32_t> observe_;
 };
 
 }  // namespace fastmon

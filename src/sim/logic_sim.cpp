@@ -1,6 +1,7 @@
 #include "sim/logic_sim.hpp"
 
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace fastmon {
@@ -11,26 +12,33 @@ LogicSim::LogicSim(const Netlist& netlist) : netlist_(&netlist) {
     }
 }
 
+// Every evaluator below reads fanins through the flat arc layout: the
+// pins of gate `id` are arcs [offsets[id], offsets[id + 1]) and
+// drivers[arc] drives that pin.  A cell has at most 8 pins.
+
 std::vector<Bit> LogicSim::eval(std::span<const Bit> sources) const {
     const Netlist& nl = *netlist_;
     assert(sources.size() == nl.comb_sources().size());
+    const auto offsets = nl.arc_offsets();
+    const auto drivers = nl.arc_drivers();
     std::vector<Bit> values(nl.size(), 0);
     bool ins[8] = {};
     for (GateId id : nl.topo_order()) {
-        const Gate& g = nl.gate(id);
         const std::uint32_t src = nl.source_index(id);
         if (src != std::numeric_limits<std::uint32_t>::max()) {
             values[id] = sources[src];
             continue;
         }
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-            ins[p] = values[g.fanin[p]] != 0;
+        const std::uint32_t base = offsets[id];
+        const std::uint32_t arity = offsets[id + 1] - base;
+        for (std::uint32_t p = 0; p < arity; ++p) {
+            ins[p] = values[drivers[base + p]] != 0;
         }
-        values[id] =
-            g.type == CellType::Output
-                ? static_cast<Bit>(ins[0])
-                : static_cast<Bit>(eval_cell(
-                      g.type, std::span<const bool>(ins, g.fanin.size())));
+        const CellType type = nl.gate(id).type;
+        values[id] = type == CellType::Output
+                         ? static_cast<Bit>(ins[0])
+                         : static_cast<Bit>(eval_cell(
+                               type, std::span<const bool>(ins, arity)));
     }
     // Dff nodes are sources above; their *next-state* (fanin value) is
     // what observe_points() reads, via op.signal, so nothing else to do.
@@ -41,22 +49,26 @@ std::vector<std::uint64_t> LogicSim::eval64(
     std::span<const std::uint64_t> sources) const {
     const Netlist& nl = *netlist_;
     assert(sources.size() == nl.comb_sources().size());
+    const auto offsets = nl.arc_offsets();
+    const auto drivers = nl.arc_drivers();
     std::vector<std::uint64_t> values(nl.size(), 0);
-    std::vector<std::uint64_t> ins;
+    std::uint64_t ins[8] = {};
     for (GateId id : nl.topo_order()) {
-        const Gate& g = nl.gate(id);
         const std::uint32_t src = nl.source_index(id);
         if (src != std::numeric_limits<std::uint32_t>::max()) {
             values[id] = sources[src];
             continue;
         }
-        ins.resize(g.fanin.size());
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-            ins[p] = values[g.fanin[p]];
+        const std::uint32_t base = offsets[id];
+        const std::uint32_t arity = offsets[id + 1] - base;
+        for (std::uint32_t p = 0; p < arity; ++p) {
+            ins[p] = values[drivers[base + p]];
         }
-        values[id] = g.type == CellType::Output
+        const CellType type = nl.gate(id).type;
+        values[id] = type == CellType::Output
                          ? ins[0]
-                         : eval_cell64(g.type, ins);
+                         : eval_cell64(type, std::span<const std::uint64_t>(
+                                                 ins, arity));
     }
     return values;
 }
@@ -67,26 +79,30 @@ LogicSim::TernaryValues LogicSim::eval64_ternary(
     const Netlist& nl = *netlist_;
     assert(sources_can0.size() == nl.comb_sources().size());
     assert(sources_can1.size() == sources_can0.size());
+    const auto offsets = nl.arc_offsets();
+    const auto drivers = nl.arc_drivers();
     TernaryValues out;
     out.can0.assign(nl.size(), 0);
     out.can1.assign(nl.size(), 0);
-    std::vector<std::uint64_t> in0;
-    std::vector<std::uint64_t> in1;
+    std::uint64_t in0[8] = {};
+    std::uint64_t in1[8] = {};
     for (GateId id : nl.topo_order()) {
-        const Gate& g = nl.gate(id);
         const std::uint32_t src = nl.source_index(id);
         if (src != std::numeric_limits<std::uint32_t>::max()) {
             out.can0[id] = sources_can0[src];
             out.can1[id] = sources_can1[src];
             continue;
         }
-        in0.resize(g.fanin.size());
-        in1.resize(g.fanin.size());
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-            in0[p] = out.can0[g.fanin[p]];
-            in1[p] = out.can1[g.fanin[p]];
+        const std::uint32_t base = offsets[id];
+        const std::uint32_t arity = offsets[id + 1] - base;
+        for (std::uint32_t p = 0; p < arity; ++p) {
+            in0[p] = out.can0[drivers[base + p]];
+            in1[p] = out.can1[drivers[base + p]];
         }
-        eval_cell64_ternary(g.type, in0, in1, out.can0[id], out.can1[id]);
+        eval_cell64_ternary(nl.gate(id).type,
+                            std::span<const std::uint64_t>(in0, arity),
+                            std::span<const std::uint64_t>(in1, arity),
+                            out.can0[id], out.can1[id]);
     }
     return out;
 }

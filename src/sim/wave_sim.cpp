@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace fastmon {
@@ -12,46 +13,56 @@ WaveSim::WaveSim(const Netlist& netlist, const DelayAnnotation& delays,
     if (!netlist.finalized()) {
         throw std::logic_error("WaveSim requires a finalized netlist");
     }
-}
-
-Time WaveSim::inertial_threshold(GateId gate) const {
-    if (config_.inertial_fraction <= 0.0) return 0.0;
-    const Gate& g = netlist_->gate(gate);
-    if (!is_combinational(g.type) || g.fanin.empty()) return 0.0;
-    Time mean = 0.0;
-    for (std::uint32_t pin = 0; pin < g.fanin.size(); ++pin) {
-        const PinDelay d = delays_->arc(gate, pin);
-        mean += 0.5 * (d.rise + d.fall);
+    // Inertial threshold: a fraction of the gate's mean arc delay.
+    const auto offsets = netlist.arc_offsets();
+    threshold_.assign(netlist.size(), 0.0);
+    if (config_.inertial_fraction <= 0.0) return;
+    for (GateId id = 0; id < netlist.size(); ++id) {
+        const std::uint32_t arity = offsets[id + 1] - offsets[id];
+        if (!is_combinational(netlist.gate(id).type) || arity == 0) continue;
+        Time mean = 0.0;
+        for (std::uint32_t pin = 0; pin < arity; ++pin) {
+            const PinDelay d = delays.arc(id, pin);
+            mean += 0.5 * (d.rise + d.fall);
+        }
+        mean /= static_cast<Time>(arity);
+        threshold_[id] = config_.inertial_fraction * mean;
     }
-    mean /= static_cast<Time>(g.fanin.size());
-    return config_.inertial_fraction * mean;
 }
 
 Waveform WaveSim::eval_gate(
     GateId gate, std::span<const Waveform* const> fanin_waves) const {
-    const Gate& g = netlist_->gate(gate);
-    assert(fanin_waves.size() == g.fanin.size());
+    Waveform out;
+    WaveEvalBuffers buf;
+    eval_gate(gate, fanin_waves, out, buf);
+    return out;
+}
 
-    if (!is_combinational(g.type)) {
+void WaveSim::eval_gate(GateId gate,
+                        std::span<const Waveform* const> fanin_waves,
+                        Waveform& out, WaveEvalBuffers& buf) const {
+    const CellType type = netlist_->gate(gate).type;
+    const auto arity = static_cast<std::uint32_t>(fanin_waves.size());
+    assert(arity == netlist_->arc_offsets()[gate + 1] -
+                        netlist_->arc_offsets()[gate]);
+
+    if (!is_combinational(type)) {
         // Output pads and DFF D pins observe their fanin directly.
-        return *fanin_waves[0];
+        out = *fanin_waves[0];
+        return;
     }
 
-    const auto arity = static_cast<std::uint32_t>(g.fanin.size());
-
     // Gather all input events: (input time, pin).
-    struct InEvent {
-        Time t;
-        std::uint32_t pin;
-    };
-    std::vector<InEvent> in_events;
+    auto& in_events = buf.in_events;
+    in_events.clear();
     for (std::uint32_t pin = 0; pin < arity; ++pin) {
         for (Time t : fanin_waves[pin]->transitions()) {
-            in_events.push_back(InEvent{t, pin});
+            in_events.push_back(WaveEvalBuffers::InEvent{t, pin});
         }
     }
     std::sort(in_events.begin(), in_events.end(),
-              [](const InEvent& a, const InEvent& b) { return a.t < b.t; });
+              [](const WaveEvalBuffers::InEvent& a,
+                 const WaveEvalBuffers::InEvent& b) { return a.t < b.t; });
 
     // Walk input events in time order, tracking the instantaneous input
     // state; every change of the output function value produces an
@@ -60,14 +71,15 @@ Waveform WaveSim::eval_gate(
     for (std::uint32_t pin = 0; pin < arity; ++pin) {
         state[pin] = fanin_waves[pin]->initial();
     }
-    bool out_value = eval_cell(g.type, std::span<const bool>(state, arity));
+    bool out_value = eval_cell(type, std::span<const bool>(state, arity));
     const bool out_initial = out_value;
 
     // Preemptive transition scheduling: an output event computed from a
     // later input state supersedes any pending output event at an equal
     // or later time (unequal pin delays can schedule out of order; the
     // newest computation of the output value wins).
-    std::vector<std::pair<Time, bool>> pending;  // (time, value-after)
+    auto& pending = buf.pending;
+    pending.clear();
     auto scheduled_value = [&pending, out_initial] {
         return pending.empty() ? out_initial : pending.back().second;
     };
@@ -85,7 +97,7 @@ Waveform WaveSim::eval_gate(
             min_delay_fall = std::min(min_delay_fall, d.fall);
             ++i;
         }
-        const bool v = eval_cell(g.type, std::span<const bool>(state, arity));
+        const bool v = eval_cell(type, std::span<const bool>(state, arity));
         if (v == out_value) continue;
         out_value = v;
         const Time when = t + (v ? min_delay_rise : min_delay_fall);
@@ -95,33 +107,43 @@ Waveform WaveSim::eval_gate(
         if (v != scheduled_value()) pending.emplace_back(when, v);
     }
 
-    Waveform out = Waveform::from_events(out_initial, pending);
-    out.filter_pulses(inertial_threshold(gate));
-    return out;
+    out.assign_events(out_initial, pending);
+    out.filter_pulses(threshold_[gate]);
 }
 
 std::vector<Waveform> WaveSim::simulate(std::span<const Bit> v1,
                                         std::span<const Bit> v2) const {
+    std::vector<Waveform> waves;
+    WaveEvalBuffers buf;
+    simulate(v1, v2, waves, buf);
+    return waves;
+}
+
+void WaveSim::simulate(std::span<const Bit> v1, std::span<const Bit> v2,
+                       std::vector<Waveform>& waves,
+                       WaveEvalBuffers& buf) const {
     const Netlist& nl = *netlist_;
     assert(v1.size() == nl.comb_sources().size());
     assert(v2.size() == v1.size());
 
-    std::vector<Waveform> waves(nl.size(), Waveform::constant(false));
-    std::vector<const Waveform*> fanin_waves;
+    // topo_order() covers every node, so each slot is overwritten.
+    waves.resize(nl.size());
+    const auto offsets = nl.arc_offsets();
+    const auto drivers = nl.arc_drivers();
+    std::vector<const Waveform*>& fanin_waves = buf.fanin_waves;
     for (GateId id : nl.topo_order()) {
-        const Gate& g = nl.gate(id);
         const std::uint32_t src = nl.source_index(id);
         if (src != std::numeric_limits<std::uint32_t>::max()) {
-            waves[id] = v1[src] == v2[src]
-                            ? Waveform::constant(v1[src] != 0)
-                            : Waveform::step(v1[src] != 0, 0.0);
+            waves[id].reset(v1[src] != 0);
+            if (v1[src] != v2[src]) waves[id].toggle_at(0.0);
             continue;
         }
         fanin_waves.clear();
-        for (GateId f : g.fanin) fanin_waves.push_back(&waves[f]);
-        waves[id] = eval_gate(id, fanin_waves);
+        for (std::uint32_t a = offsets[id]; a < offsets[id + 1]; ++a) {
+            fanin_waves.push_back(&waves[drivers[a]]);
+        }
+        eval_gate(id, fanin_waves, waves[id], buf);
     }
-    return waves;
 }
 
 }  // namespace fastmon

@@ -8,8 +8,9 @@
 // CPU equivalent of the GPU waveform simulator the paper uses [20].
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -26,6 +27,19 @@ struct WaveSimConfig {
     double inertial_fraction = 0.4;
 };
 
+/// Caller-owned event buffers of WaveSim::eval_gate: one per thread,
+/// reused across calls so a warm evaluation allocates nothing.
+struct WaveEvalBuffers {
+    struct InEvent {
+        Time t;
+        std::uint32_t pin;
+    };
+    std::vector<InEvent> in_events;
+    std::vector<std::pair<Time, bool>> pending;  ///< (time, value-after)
+    /// The caller's fanin pointer list; eval_gate does not touch it.
+    std::vector<const Waveform*> fanin_waves;
+};
+
 class WaveSim {
 public:
     WaveSim(const Netlist& netlist, const DelayAnnotation& delays,
@@ -37,23 +51,36 @@ public:
     [[nodiscard]] std::vector<Waveform> simulate(
         std::span<const Bit> v1, std::span<const Bit> v2) const;
 
-    /// Evaluates one gate from explicit fanin waveforms.
-    /// `pin_override` (optional) substitutes the waveform seen by one
-    /// pin — the hook used to inject input-pin delay faults.
+    /// simulate() into `waves`, reusing its waveforms' buffers (resized
+    /// to netlist().size() on first use).
+    void simulate(std::span<const Bit> v1, std::span<const Bit> v2,
+                  std::vector<Waveform>& waves, WaveEvalBuffers& buf) const;
+
+    /// Evaluates one gate from explicit fanin waveforms (one per pin;
+    /// substituting a pin's waveform is how input-pin delay faults are
+    /// injected).
     [[nodiscard]] Waveform eval_gate(
         GateId gate, std::span<const Waveform* const> fanin_waves) const;
+
+    /// eval_gate() into `out`, with the event lists in `buf`.  `out`
+    /// must not be one of the fanin waveforms.
+    void eval_gate(GateId gate, std::span<const Waveform* const> fanin_waves,
+                   Waveform& out, WaveEvalBuffers& buf) const;
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
     [[nodiscard]] const DelayAnnotation& delays() const { return *delays_; }
     [[nodiscard]] const WaveSimConfig& config() const { return config_; }
 
     /// The inertial threshold applied at the output of `gate`.
-    [[nodiscard]] Time inertial_threshold(GateId gate) const;
+    [[nodiscard]] Time inertial_threshold(GateId gate) const {
+        return threshold_[gate];
+    }
 
 private:
     const Netlist* netlist_;
     const DelayAnnotation* delays_;
     WaveSimConfig config_;
+    std::vector<Time> threshold_;  ///< per gate, fixed at construction
 };
 
 }  // namespace fastmon

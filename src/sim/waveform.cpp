@@ -1,6 +1,7 @@
 #include "sim/waveform.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace fastmon {
@@ -21,20 +22,26 @@ Waveform Waveform::step(bool initial, Time t) {
 Waveform Waveform::from_events(bool initial,
                                std::span<const std::pair<Time, bool>> events) {
     Waveform w;
-    w.initial_ = initial;
+    w.assign_events(initial, events);
+    return w;
+}
+
+void Waveform::assign_events(bool initial,
+                             std::span<const std::pair<Time, bool>> events) {
+    initial_ = initial;
+    transitions_.clear();
     bool value = initial;
     for (const auto& [t, v] : events) {
         if (v == value) continue;
         // A toggle landing at (or before) the previous one cancels it
         // (the later-scheduled value wins at equal times).
-        if (!w.transitions_.empty() && t <= w.transitions_.back() + kTimeEps) {
-            w.transitions_.pop_back();
+        if (!transitions_.empty() && t <= transitions_.back() + kTimeEps) {
+            transitions_.pop_back();
         } else {
-            w.transitions_.push_back(t);
+            transitions_.push_back(t);
         }
         value = v;
     }
-    return w;
 }
 
 bool Waveform::value_at(Time t) const {
@@ -46,47 +53,61 @@ bool Waveform::value_at(Time t) const {
 
 void Waveform::filter_pulses(Time min_width) {
     if (min_width <= 0.0 || transitions_.size() < 2) return;
-    std::vector<Time> kept;
-    kept.reserve(transitions_.size());
-    for (Time t : transitions_) {
-        if (!kept.empty() && t - kept.back() < min_width - kTimeEps) {
-            kept.pop_back();  // the pulse [back, t) is swallowed
+    // transitions_[0, kept) is the stack of surviving toggles; it never
+    // overtakes the read position, so the filter runs in place.
+    std::size_t kept = 0;
+    for (const Time t : transitions_) {
+        if (kept != 0 && t - transitions_[kept - 1] < min_width - kTimeEps) {
+            --kept;  // the pulse [back, t) is swallowed
         } else {
-            kept.push_back(t);
+            transitions_[kept++] = t;
         }
     }
-    transitions_ = std::move(kept);
+    transitions_.resize(kept);
 }
 
 Waveform Waveform::with_slowed_edges(bool rising, Time delta) const {
+    Waveform w;
+    slowed_edges_into(rising, delta, w);
+    return w;
+}
+
+void Waveform::slowed_edges_into(bool rising, Time delta,
+                                 Waveform& out) const {
+    assert(&out != this);
     // Delay the affected edge direction; when a delayed edge is
     // overtaken by its successor, the pulse between them is swallowed
     // (a delay element cannot emit an end-of-pulse before the pulse
     // started).  Classic edge-cancellation stack: edges arrive in the
     // original order; an edge landing at or before the previous
     // surviving edge cancels it, removing the pulse pair.
-    Waveform w;
-    w.initial_ = initial_;
+    out.initial_ = initial_;
+    out.transitions_.clear();
     bool value = initial_;
     for (Time t : transitions_) {
         value = !value;
         const Time shifted = value == rising ? t + delta : t;
-        if (!w.transitions_.empty() &&
-            shifted <= w.transitions_.back() + kTimeEps) {
-            w.transitions_.pop_back();
+        if (!out.transitions_.empty() &&
+            shifted <= out.transitions_.back() + kTimeEps) {
+            out.transitions_.pop_back();
         } else {
-            w.transitions_.push_back(shifted);
+            out.transitions_.push_back(shifted);
         }
     }
-    return w;
 }
 
 Waveform Waveform::xor_of(const Waveform& a, const Waveform& b) {
+    Waveform w;
+    xor_into(a, b, w);
+    return w;
+}
+
+void Waveform::xor_into(const Waveform& a, const Waveform& b, Waveform& out) {
+    assert(&out != &a && &out != &b);
     // XOR toggles whenever either operand toggles; simultaneous toggles
     // cancel.
-    Waveform w;
-    w.initial_ = a.initial_ != b.initial_;
-    w.transitions_.reserve(a.transitions_.size() + b.transitions_.size());
+    out.initial_ = a.initial_ != b.initial_;
+    out.transitions_.clear();
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < a.transitions_.size() || j < b.transitions_.size()) {
@@ -105,13 +126,18 @@ Waveform Waveform::xor_of(const Waveform& a, const Waveform& b) {
         } else {
             t = b.transitions_[j++];
         }
-        w.transitions_.push_back(t);
+        out.transitions_.push_back(t);
     }
-    return w;
 }
 
 IntervalSet Waveform::ones(Time horizon) const {
     IntervalSet s;
+    ones_into(horizon, s);
+    return s;
+}
+
+void Waveform::ones_into(Time horizon, IntervalSet& out) const {
+    out.clear();
     bool value = initial_;
     Time start = value ? 0.0 : -1.0;
     for (Time t : transitions_) {
@@ -120,14 +146,13 @@ IntervalSet Waveform::ones(Time horizon) const {
         if (value) {
             start = std::max(t, 0.0);
         } else if (start >= 0.0) {
-            s.add(start, t);
+            out.add(start, t);
             start = -1.0;
         }
     }
     if (value && start >= 0.0 && start < horizon) {
-        s.add(start, horizon);
+        out.add(start, horizon);
     }
-    return s;
 }
 
 }  // namespace fastmon

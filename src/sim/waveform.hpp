@@ -30,6 +30,20 @@ public:
     static Waveform from_events(bool initial,
                                 std::span<const std::pair<Time, bool>> events);
 
+    /// In place: becomes constant(value), keeping the buffer.
+    void reset(bool value) {
+        initial_ = value;
+        transitions_.clear();
+    }
+
+    /// Appends a toggle at t.  Precondition: t lies after the last
+    /// toggle by more than kTimeEps.
+    void toggle_at(Time t) { transitions_.push_back(t); }
+
+    /// In-place from_events: replaces this waveform, reusing its buffer.
+    void assign_events(bool initial,
+                       std::span<const std::pair<Time, bool>> events);
+
     [[nodiscard]] bool initial() const { return initial_; }
     [[nodiscard]] bool final() const {
         return (transitions_.size() % 2 == 0) == initial_;
@@ -58,11 +72,20 @@ public:
     /// of size delta at this signal.
     [[nodiscard]] Waveform with_slowed_edges(bool rising, Time delta) const;
 
+    /// with_slowed_edges into `out` (not *this), reusing its buffer.
+    void slowed_edges_into(bool rising, Time delta, Waveform& out) const;
+
     /// Pointwise XOR of two waveforms.
     static Waveform xor_of(const Waveform& a, const Waveform& b);
 
+    /// xor_of into `out` (neither operand), reusing its buffer.
+    static void xor_into(const Waveform& a, const Waveform& b, Waveform& out);
+
     /// Regions where the waveform is 1, clipped to [0, horizon).
     [[nodiscard]] IntervalSet ones(Time horizon) const;
+
+    /// ones() into `out`, reusing its buffer.
+    void ones_into(Time horizon, IntervalSet& out) const;
 
     friend bool operator==(const Waveform& a, const Waveform& b) = default;
 

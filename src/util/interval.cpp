@@ -32,32 +32,34 @@ void IntervalSet::add(Interval iv) {
 }
 
 void IntervalSet::unite(const IntervalSet& other) {
-    if (other.ivals_.empty()) return;
+    if (other.ivals_.empty() || &other == this) return;
     if (ivals_.empty()) {
         ivals_ = other.ivals_;
         return;
     }
-    // Linear merge of two sorted disjoint lists.
-    std::vector<Interval> merged;
-    merged.reserve(ivals_.size() + other.ivals_.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    auto push = [&merged](Interval iv) {
-        if (!merged.empty() && merged.back().hi >= iv.lo - kTimeEps) {
-            merged.back().hi = std::max(merged.back().hi, iv.hi);
+    // Merge the two sorted disjoint lists by lo in place, from the back
+    // (this set's interval first on equal lo, as a forward merge would),
+    // then coalesce overlapping/touching neighbours forward.
+    std::size_t i = ivals_.size();
+    std::size_t j = other.ivals_.size();
+    ivals_.resize(i + j);
+    for (std::size_t out = ivals_.size(); j > 0;) {
+        if (i > 0 && ivals_[i - 1].lo > other.ivals_[j - 1].lo) {
+            ivals_[--out] = ivals_[--i];
         } else {
-            merged.push_back(iv);
-        }
-    };
-    while (i < ivals_.size() || j < other.ivals_.size()) {
-        if (j == other.ivals_.size() ||
-            (i < ivals_.size() && ivals_[i].lo <= other.ivals_[j].lo)) {
-            push(ivals_[i++]);
-        } else {
-            push(other.ivals_[j++]);
+            ivals_[--out] = other.ivals_[--j];
         }
     }
-    ivals_ = std::move(merged);
+    std::size_t kept = 1;
+    for (std::size_t r = 1; r < ivals_.size(); ++r) {
+        Interval& back = ivals_[kept - 1];
+        if (back.hi >= ivals_[r].lo - kTimeEps) {
+            back.hi = std::max(back.hi, ivals_[r].hi);
+        } else {
+            ivals_[kept++] = ivals_[r];
+        }
+    }
+    ivals_.resize(kept);
 }
 
 void IntervalSet::clip(Time lo, Time hi) {

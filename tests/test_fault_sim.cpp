@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "timing/sta_engine.hpp"
@@ -225,17 +230,21 @@ TEST_P(ConeVsFullResim, OverlayMatchesFullResimulation) {
     const FaultSim fsim(sim);
     Prng rng(GetParam() * 7 + 5);
     const std::size_t n = nl.comb_sources().size();
-    std::vector<Bit> v1(n);
-    std::vector<Bit> v2(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        v1[s] = rng.chance(0.5) ? 1 : 0;
-        v2[s] = rng.chance(0.5) ? 1 : 0;
+    std::vector<std::vector<Waveform>> goods;
+    for (int p = 0; p < 3; ++p) {
+        std::vector<Bit> v1(n);
+        std::vector<Bit> v2(n);
+        for (std::size_t s = 0; s < n; ++s) {
+            v1[s] = rng.chance(0.5) ? 1 : 0;
+            v2[s] = rng.chance(0.5) ? 1 : 0;
+        }
+        goods.push_back(sim.simulate(v1, v2));
     }
-    const auto good = sim.simulate(v1, v2);
 
     // Full re-simulation: evaluate every gate with the faulty waveform
     // overlay (no cone shortcut).
-    auto full_resim = [&](const DelayFault& fault) {
+    auto full_resim = [&](const DelayFault& fault,
+                          const std::vector<Waveform>& good) {
         std::vector<Waveform> faulty(nl.size(), Waveform::constant(false));
         std::vector<const Waveform*> fanin_waves;
         for (GateId id : nl.topo_order()) {
@@ -266,6 +275,7 @@ TEST_P(ConeVsFullResim, OverlayMatchesFullResimulation) {
         return faulty;
     };
 
+    std::vector<DelayFault> faults;
     for (int k = 0; k < 15; ++k) {
         const GateId gate = static_cast<GateId>(rng.next_below(nl.size()));
         const Gate& g = nl.gate(gate);
@@ -278,21 +288,42 @@ TEST_P(ConeVsFullResim, OverlayMatchesFullResimulation) {
                            : FaultSite::kOutputPin};
         fault.slow_rising = rng.chance(0.5);
         fault.delta = rng.uniform(2.0, 30.0);
+        faults.push_back(fault);
+    }
 
-        const auto expected = full_resim(fault);
-        const auto diffs = fsim.simulate(fault, good);
+    // Every (fault, pattern) pair in shuffled order through one shared
+    // scratch: stale overlay entries or queue stamps of an earlier call
+    // must not leak into a later one.
+    std::vector<std::pair<std::size_t, std::size_t>> cases;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+        for (std::size_t p = 0; p < goods.size(); ++p) cases.emplace_back(f, p);
+    }
+    for (std::size_t i = cases.size(); i > 1; --i) {
+        std::swap(cases[i - 1], cases[rng.next_below(i)]);
+    }
+    FaultSimScratch scratch;
+    const auto ops = nl.observe_points();
+    for (const auto& [f, p] : cases) {
+        const DelayFault& fault = faults[f];
+        const std::vector<Waveform>& good = goods[p];
+        const auto expected = full_resim(fault, good);
+        const auto diffs = fsim.simulate(fault, good, scratch);
         // Build the diff map from the full re-simulation.
-        const auto ops = nl.observe_points();
+        std::vector<std::uint32_t> expect_index;
         std::vector<Waveform> expect_diffs;
         for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
             const Waveform x =
                 Waveform::xor_of(good[ops[oi].signal], expected[ops[oi].signal]);
             if (!x.is_constant() || x.initial()) {
+                expect_index.push_back(oi);
                 expect_diffs.push_back(x);
             }
         }
+        SCOPED_TRACE("fault " + std::to_string(f) + ", pattern " +
+                     std::to_string(p));
         ASSERT_EQ(diffs.size(), expect_diffs.size());
         for (std::size_t d = 0; d < diffs.size(); ++d) {
+            EXPECT_EQ(diffs[d].observe_index, expect_index[d]);
             EXPECT_EQ(diffs[d].diff, expect_diffs[d]);
         }
     }

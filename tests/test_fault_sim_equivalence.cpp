@@ -1,6 +1,6 @@
 // Randomized differential test of the fault-simulation engine's fast
-// path (bit-parallel activation screen + cone cache + dense overlay +
-// thread pool) against a naive reference that re-simulates the entire
+// path (bit-parallel activation screen + event-driven propagation over
+// a dense overlay + thread pool) against a naive reference that re-simulates the entire
 // circuit for every (fault, pattern) pair with no screening at all.
 // The engine promises bit-identical results regardless of worker count.
 #include <gtest/gtest.h>
@@ -185,7 +185,9 @@ TEST_P(FaultSimEquivalence, FastPathMatchesNaiveReference) {
                       c.pairs_simulated,
                   c.pairs_total);
         EXPECT_LE(c.pairs_detected, c.pairs_simulated);
-        EXPECT_GT(c.cones_cached, 0u);
+        // Event-driven propagation builds no fanout cones, and nothing
+        // else in this scenario asks the netlist for one.
+        EXPECT_EQ(c.cones_cached, 0u);
     }
 }
 

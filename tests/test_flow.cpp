@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "flow/report.hpp"
 #include "netlist/generator.hpp"
@@ -89,6 +90,20 @@ TEST(HdfFlow, PhasesAndManifestCoverTheRun) {
     EXPECT_EQ(m.circuit().find("name")->as_string(), "s27");
     ASSERT_NE(m.config().find("seed"), nullptr);
     EXPECT_NE(m.metrics().find("detection"), nullptr);
+    // ATPG's fault accounting, from the same result fields as the
+    // `atpg faults:` line of fastmon_flow.
+    const std::pair<const char*, double> atpg_fields[] = {
+        {"atpg_coverage", r.atpg_coverage},
+        {"atpg_efficiency", r.atpg_efficiency},
+        {"atpg_untestable", static_cast<double>(r.atpg_untestable)},
+        {"atpg_aborted", static_cast<double>(r.atpg_aborted)}};
+    for (const auto& [key, value] : atpg_fields) {
+        const Json* field = m.circuit().find(key);
+        ASSERT_NE(field, nullptr) << key;
+        EXPECT_EQ(field->as_number(), value) << key;
+    }
+    EXPECT_GT(r.atpg_coverage, 0.0);
+    EXPECT_GT(r.atpg_efficiency, 0.0);
     // ATPG's random/deterministic/compaction split is in the metrics
     // snapshot (gauges, so the phase table does not count it twice),
     // with PODEM's implication work as a counter.

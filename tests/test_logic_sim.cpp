@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
@@ -115,6 +118,53 @@ TEST_P(Eval64Agreement, LanesMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Eval64Agreement,
                          ::testing::Range<std::uint64_t>(1, 7));
+
+TEST(LogicSim, TernaryMatchesFaninReference) {
+    // eval64_ternary (the activation screen's kernel) against a plain
+    // evaluation over Gate::fanin, bit for bit.
+    GeneratorConfig gc;
+    gc.name = "ternary_ref";
+    gc.n_gates = 300;
+    gc.n_ffs = 30;
+    gc.n_inputs = 10;
+    gc.n_outputs = 10;
+    gc.depth = 10;
+    gc.spread = 0.5;
+    gc.seed = 5;
+    const Netlist nl = generate_circuit(gc);
+    const LogicSim sim(nl);
+    const std::size_t n_src = nl.comb_sources().size();
+    Prng rng(23);
+    std::vector<std::uint64_t> can0(n_src);
+    std::vector<std::uint64_t> can1(n_src);
+    for (std::size_t s = 0; s < n_src; ++s) {
+        const std::uint64_t v1 = rng.next_u64();
+        const std::uint64_t v2 = rng.next_u64();
+        can0[s] = ~v1 | ~v2;
+        can1[s] = v1 | v2;
+    }
+    const LogicSim::TernaryValues got = sim.eval64_ternary(can0, can1);
+
+    std::vector<std::uint64_t> want0(nl.size(), 0);
+    std::vector<std::uint64_t> want1(nl.size(), 0);
+    for (GateId id : nl.topo_order()) {
+        const std::uint32_t src = nl.source_index(id);
+        if (src != std::numeric_limits<std::uint32_t>::max()) {
+            want0[id] = can0[src];
+            want1[id] = can1[src];
+            continue;
+        }
+        std::vector<std::uint64_t> in0;
+        std::vector<std::uint64_t> in1;
+        for (GateId f : nl.gate(id).fanin) {
+            in0.push_back(want0[f]);
+            in1.push_back(want1[f]);
+        }
+        eval_cell64_ternary(nl.gate(id).type, in0, in1, want0[id], want1[id]);
+    }
+    EXPECT_EQ(got.can0, want0);
+    EXPECT_EQ(got.can1, want1);
+}
 
 TEST(LogicSim, RequiresFinalizedNetlist) {
     Netlist nl("unfinalized");

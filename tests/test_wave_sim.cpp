@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
@@ -163,6 +166,58 @@ TEST(WaveSim, SettleTimesRespectSta) {
                 << nl.gate(id).name;
         }
     }
+}
+
+TEST(WaveSim, EvalGateIntoReusesDirtyBuffers) {
+    // Evaluating into a caller-owned waveform and event buffers that
+    // hold stale, longer contents must give the fresh evaluation.  Fanin
+    // toggles are drawn from a shared time grid with sub-kTimeEps
+    // jitter, so pins toggle together and within the grouping tolerance.
+    GeneratorConfig gc;
+    gc.name = "eval_into";
+    gc.n_gates = 150;
+    gc.n_ffs = 10;
+    gc.n_inputs = 8;
+    gc.n_outputs = 8;
+    gc.depth = 8;
+    gc.spread = 0.5;
+    gc.seed = 31;
+    const Netlist nl = generate_circuit(gc);
+    const DelayAnnotation ann = DelayAnnotation::nominal(nl);
+    const WaveSim sim(nl, ann);
+    Prng rng(77);
+
+    Waveform out = Waveform::constant(true);
+    for (int k = 0; k < 40; ++k) out.toggle_at(1000.0 + k);
+    WaveEvalBuffers buf;
+    int evaluated = 0;
+    for (GateId id = 0; id < nl.size(); ++id) {
+        const Gate& g = nl.gate(id);
+        if (!is_combinational(g.type) || g.fanin.size() < 2) continue;
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<Waveform> fanin(g.fanin.size());
+            for (Waveform& w : fanin) {
+                std::vector<std::pair<Time, bool>> events;
+                bool value = rng.chance(0.5);
+                const bool initial = value;
+                for (int slot = 0; slot < 12; ++slot) {
+                    if (!rng.chance(0.4)) continue;
+                    const Time jitter =
+                        rng.chance(0.5) ? 0.0 : rng.uniform(-0.4, 0.4) * kTimeEps;
+                    value = !value;
+                    events.emplace_back(5.0 * slot + jitter, value);
+                }
+                w = Waveform::from_events(initial, events);
+            }
+            std::vector<const Waveform*> ptrs;
+            for (const Waveform& w : fanin) ptrs.push_back(&w);
+            const Waveform fresh = sim.eval_gate(id, ptrs);
+            sim.eval_gate(id, ptrs, out, buf);
+            EXPECT_EQ(out, fresh) << g.name << " trial " << trial;
+            ++evaluated;
+        }
+    }
+    EXPECT_GT(evaluated, 200);
 }
 
 TEST(WaveSim, InertialThresholdScalesWithConfig) {
